@@ -13,7 +13,7 @@
 //   grid              the full cross product at a fixed modest prefill:
 //                     throughput, latency percentiles and step attribution
 //                     under contention, skew and clustering.
-//   batch             batched-op cells (DESIGN.md §3.7): single-threaded
+//   batch             batched-op cells (DESIGN.md §3.6): single-threaded
 //                     {skiptrie, skiplist} x {insert_only, lookup_only,
 //                     balanced, write_heavy} x {uniform, zipf, clustered}
 //                     x --batch-sizes at --batch-bits, same seed across
@@ -36,16 +36,6 @@
 //                     `leaf_chunking`.  The acceptance read is the
 //                     bytes_touched/op ratio off/on (target >= 1.3x) with
 //                     hops_descent/op lower on the chunked side.
-//   toplevel_ablation adaptive tower heights on/off (DESIGN.md §8): matched
-//                     single-threaded skiptrie cells — same seed, same
-//                     stream — at 32 universe bits over {read_heavy,
-//                     lookup_only} x {uniform, zipf} (zipf additionally with
-//                     hot-set drift), differing only in `adaptive_heights`.
-//                     Finger and leaf chunking are pinned off so neither can
-//                     short-circuit the descents being measured.  The
-//                     acceptance read is (hops_top+hops_descent)/op off/on
-//                     >= 1.15x on the zipf cells with bytes_touched/op lower
-//                     on the adaptive side, and uniform cells within 5%.
 //   service           the queued Service front-end (DESIGN.md §4.3) under
 //                     the client simulator (hot-tenant zipf, bursty
 //                     arrivals): --shards x client counts; steps merge the
@@ -115,12 +105,6 @@ size_t structure_seed_idx(const std::string& s) {
   return 2;  // locked_map
 }
 
-// Baselines have no height policy; their cells record adaptive_heights =
-// false so they keep joining against pre-v8 files (which fill false).
-bool structure_has_adaptation(const std::string& s) {
-  return s == "skiptrie" || s == "sharded";
-}
-
 struct ScalingPoint {
   std::string structure;
   uint32_t bits = 0;
@@ -158,19 +142,6 @@ struct LeafPoint {
   double chunk_scans_on = 0.0;  // chunk_scans / op, chunking on
   double final_occupancy = 0.0; // from the on-cell's leaf checkpoints
   double ratio() const { return bytes_on > 0.0 ? bytes_off / bytes_on : 0.0; }
-};
-
-struct ToplevelPoint {
-  std::string mix;
-  std::string dist;
-  bool drift = false;
-  double hops_on = 0.0;    // node_hops / op, adaptation on
-  double hops_off = 0.0;   // node_hops / op, adaptation off
-  double bytes_on = 0.0;   // bytes_touched / op, adaptation on
-  double bytes_off = 0.0;
-  uint64_t promotions = 0, demotions = 0;  // on-cell policy activity
-  uint64_t final_top = 0;                  // on-cell final top population
-  double ratio() const { return hops_on > 0.0 ? hops_off / hops_on : 0.0; }
 };
 
 struct ServicePoint {
@@ -485,7 +456,6 @@ int main(int argc, char** argv) {
         CellSpec spec;
         spec.section = "universe_scaling";
         spec.structure = structure;
-        spec.adaptive_heights = structure_has_adaptation(structure);
         spec.mix_name = "read_only";
         spec.universe_bits = bits;
         spec.repeat = rep;
@@ -529,7 +499,6 @@ int main(int argc, char** argv) {
               CellSpec spec;
               spec.section = "grid";
               spec.structure = structures[si];
-              spec.adaptive_heights = structure_has_adaptation(structures[si]);
               spec.mix_name = mixes[mi].name;
               spec.universe_bits = bits;
               spec.shards = shards;
@@ -585,7 +554,6 @@ int main(int argc, char** argv) {
             CellSpec spec;
             spec.section = "batch";
             spec.structure = structure;
-            spec.adaptive_heights = structure_has_adaptation(structure);
             spec.mix_name = nm->name;
             spec.universe_bits = batch_bits;
             spec.wc.threads = 1;
@@ -733,87 +701,6 @@ int main(int argc, char** argv) {
     }
   }
 
-  // --- Section 5b: adaptive-height ablation --------------------------------
-  // Matched single-threaded pairs: the cell seed ignores adaptive_heights,
-  // so the on and off cells run the identical (key, op) stream against the
-  // identical logical set.  Finger and leaf chunking are pinned off — a
-  // finger hit enters below the top and a chunked read stops at the chunk
-  // entry level, either of which would mask the descent hops the promoted
-  // towers save (DESIGN.md §8.2).  Zipf cells additionally run a hot-set
-  // drift variant (the demotion side's workout).
-  std::vector<ToplevelPoint> toplevel_pts;
-  {
-    const std::vector<std::string> tl_mix_names = {"read_heavy",
-                                                   "lookup_only"};
-    const std::vector<KeyDist> tl_dists = {KeyDist::kUniform, KeyDist::kZipf};
-    const uint32_t tl_bits = 32;
-    // The promotion signal needs enough sampled reads to cross the count
-    // floor on the hot heads, and enough prefill that a promoted tower has
-    // descent levels to skip; at the quick axes (2000 ops / 256 prefill)
-    // the ratio is real but under-resolved.  This section therefore always
-    // runs the full-mode volume — 16 single-threaded cells, a few seconds —
-    // so the quick file's toplevel_summary is comparable to the full one.
-    const uint64_t tl_ops = std::max<uint64_t>(grid_ops, 24000);
-    const uint64_t tl_prefill = std::max<uint64_t>(grid_prefill, 8192);
-    for (size_t mi = 0; mi < tl_mix_names.size(); ++mi) {
-      const NamedMix* nm = nullptr;
-      for (const NamedMix& m : all_mixes()) {
-        if (tl_mix_names[mi] == m.name) nm = &m;
-      }
-      if (nm == nullptr) continue;  // unreachable: fixed registry names
-      for (size_t di = 0; di < tl_dists.size(); ++di) {
-        for (const bool drift : {false, true}) {
-          if (drift && tl_dists[di] != KeyDist::kZipf) continue;
-          ToplevelPoint pt;
-          pt.mix = nm->name;
-          pt.dist = key_dist_name(tl_dists[di]);
-          pt.drift = drift;
-          for (const bool adaptive : {true, false}) {
-            CellSpec spec;
-            spec.section = "toplevel_ablation";
-            spec.structure = "skiptrie";
-            spec.mix_name = nm->name;
-            spec.universe_bits = tl_bits;
-            spec.leaf_chunking = false;
-            spec.use_finger = false;
-            spec.adaptive_heights = adaptive;
-            spec.wc.threads = 1;
-            spec.wc.ops_per_thread = tl_ops;
-            spec.wc.mix = nm->mix;
-            spec.wc.dist = tl_dists[di];
-            spec.wc.zipf_drift = drift;
-            spec.wc.key_space = bench_key_space(tl_bits);
-            spec.wc.prefill =
-                std::min<uint64_t>(tl_prefill, spec.wc.key_space / 2);
-            // Identical for on and off: same keys, same base heights, same
-            // set; the drift variant gets its own stream.
-            spec.wc.seed =
-                cell_seed(tl_bits, 1, mi + 224, di + (drift ? 8 : 0), 0, 0);
-            spec.wc.latency_sample_every = latency_every;
-            const CellResult res = run_cell(spec);
-            write_cell(j, spec, res);
-            const double ops =
-                res.r.total_ops ? static_cast<double>(res.r.total_ops) : 1.0;
-            if (adaptive) {
-              pt.hops_on = static_cast<double>(res.r.steps.node_hops) / ops;
-              pt.bytes_on =
-                  static_cast<double>(res.r.steps.bytes_touched) / ops;
-              pt.promotions = res.r.structure.final_promotions;
-              pt.demotions = res.r.structure.final_demotions;
-              pt.final_top = res.r.structure.final_top;
-            } else {
-              pt.hops_off = static_cast<double>(res.r.steps.node_hops) / ops;
-              pt.bytes_off =
-                  static_cast<double>(res.r.steps.bytes_touched) / ops;
-            }
-            progress("toplevel_ablation");
-          }
-          toplevel_pts.push_back(pt);
-        }
-      }
-    }
-  }
-
   // --- Section 6: service front-end ----------------------------------------
   // The client simulator against a live Service: per-shard queues + workers,
   // hot-tenant zipf traffic, bursty arrivals.  Each cell builds a fresh
@@ -920,28 +807,6 @@ int main(int argc, char** argv) {
   }
   j.end_array();
 
-  // Toplevel digest: the adaptation acceptance read — node hops per op with
-  // the policy off vs on (>= 1.15x on zipf cells is the v8 target, uniform
-  // within 5%), plus the policy activity behind it.
-  j.key("toplevel_summary").begin_array();
-  for (const ToplevelPoint& pt : toplevel_pts) {
-    j.begin_object();
-    j.kv("structure", "skiptrie");
-    j.kv("mix", pt.mix);
-    j.kv("dist", pt.dist);
-    j.kv("zipf_drift", pt.drift);
-    j.kv("hops_per_op_on", pt.hops_on);
-    j.kv("hops_per_op_off", pt.hops_off);
-    j.kv("hops_ratio_off_over_on", pt.ratio());
-    j.kv("bytes_per_op_on", pt.bytes_on);
-    j.kv("bytes_per_op_off", pt.bytes_off);
-    j.kv("promotions", pt.promotions);
-    j.kv("demotions", pt.demotions);
-    j.kv("final_top", pt.final_top);
-    j.end_object();
-  }
-  j.end_array();
-
   // Service digest: throughput and queueing pressure by (shards, clients).
   j.key("service_summary").begin_array();
   for (const ServicePoint& pt : service_pts) {
@@ -999,22 +864,6 @@ int main(int argc, char** argv) {
       std::printf("%-12s %-10s %-10.1f %-10.1f %-8.2f %-10.2f %-10.2f\n",
                   pt.mix.c_str(), pt.dist.c_str(), pt.bytes_on, pt.bytes_off,
                   pt.ratio(), pt.hops_descent_on, pt.hops_descent_off);
-    }
-  }
-  if (!toplevel_pts.empty()) {
-    header("bench_suite: adaptive heights (node hops/op, off vs on)");
-    std::printf("%-12s %-10s %-6s %-10s %-10s %-8s %-8s %-8s %-8s\n", "mix",
-                "dist", "drift", "hops_on", "hops_off", "ratio", "promo",
-                "demo", "top");
-    row_sep(88);
-    for (const ToplevelPoint& pt : toplevel_pts) {
-      std::printf(
-          "%-12s %-10s %-6s %-10.1f %-10.1f %-8.2f %-8llu %-8llu %-8llu\n",
-          pt.mix.c_str(), pt.dist.c_str(), pt.drift ? "yes" : "no",
-          pt.hops_on, pt.hops_off, pt.ratio(),
-          static_cast<unsigned long long>(pt.promotions),
-          static_cast<unsigned long long>(pt.demotions),
-          static_cast<unsigned long long>(pt.final_top));
     }
   }
   if (!service_pts.empty()) {

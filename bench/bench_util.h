@@ -200,16 +200,6 @@ struct CellSpec {
   // Leaf-chunk hint index on/off (v7 axis, DESIGN.md §7).  Default on — the
   // shipped Config default; older files join as leaf_chunking = true.
   bool leaf_chunking = true;
-  // Adaptive tower heights on/off (v8 axis, DESIGN.md §8).  Default on —
-  // the shipped Config default.  Pre-v8 files join as false: adaptation did
-  // not exist then, so off is the behavior-accurate fill (suites set it to
-  // false explicitly on baseline structures, which have no height policy).
-  bool adaptive_heights = true;
-  // Finger cache on/off.  Report-only, not a join axis: it is constant
-  // within every section — only toplevel_ablation turns it off, so the
-  // finger cannot short-circuit the descents whose hop delta that section
-  // measures (DESIGN.md §8.2).
-  bool use_finger = true;
   uint32_t repeat = 0;            // repeat index within identical specs
   WorkloadConfig wc;
 };
@@ -238,15 +228,11 @@ class Bytes16WorkloadAdapter {
   static constexpr uint32_t kSpread = 56;
   static constexpr uint32_t kUniverseBits = 64 + kSpread;
 
-  explicit Bytes16WorkloadAdapter(bool leaf_chunking = true,
-                                  bool adaptive_heights = true,
-                                  bool use_finger = true)
+  explicit Bytes16WorkloadAdapter(bool leaf_chunking = true)
       : trie_([&] {
           Config c;
           c.universe_bits = kUniverseBits;
           c.leaf_chunking = leaf_chunking;
-          c.adaptive_heights = adaptive_heights;
-          c.use_finger = use_finger;
           return c;
         }()) {}
 
@@ -269,8 +255,7 @@ class Bytes16WorkloadAdapter {
 inline CellResult run_cell(const CellSpec& spec) {
   CellResult res;
   if (spec.structure == "skiptrie" && spec.key_kind == "bytes16") {
-    Bytes16WorkloadAdapter a(spec.leaf_chunking, spec.adaptive_heights,
-                             spec.use_finger);
+    Bytes16WorkloadAdapter a(spec.leaf_chunking);
     res.r = run_workload(a, spec.wc);
     // The wide trie's StructureStats is a distinct nested type (deeper
     // level_counts); copy the scalar fields the emitter reports.
@@ -292,8 +277,6 @@ inline CellResult run_cell(const CellSpec& spec) {
     Config cfg;
     cfg.universe_bits = spec.universe_bits;
     cfg.leaf_chunking = spec.leaf_chunking;
-    cfg.adaptive_heights = spec.adaptive_heights;
-    cfg.use_finger = spec.use_finger;
     SkipTrie t(cfg);
     res.r = run_workload(t, spec.wc);
     res.stats = t.structure_stats();  // quiescent: workers joined
@@ -302,8 +285,6 @@ inline CellResult run_cell(const CellSpec& spec) {
     Config cfg;
     cfg.universe_bits = spec.universe_bits;
     cfg.leaf_chunking = spec.leaf_chunking;
-    cfg.adaptive_heights = spec.adaptive_heights;
-    cfg.use_finger = spec.use_finger;
     ShardedEngine e(spec.shards, cfg);
     res.r = run_workload(e, spec.wc);
     res.stats = e.structure_stats();  // aggregated across shards
@@ -394,21 +375,23 @@ inline std::string git_rev(const Args& args) {
 //       `leaf_checkpoints` object (25/50/75% mid-run samples + final) and a
 //       new "leaf_ablation" section sweeps chunking on/off.  Purely
 //       additive again.
-//   v8  distribution-adaptive tower heights (DESIGN.md §8): cells gain the
-//       `adaptive_heights` axis (default false on join — pre-v8 files ran
-//       without the policy, so off is the behavior-accurate fill) and the
-//       `zipf_drift` axis (default false — the v8 hot-set drift mode), plus
-//       report-only `use_finger`; steps gains {adapt_checks, promotions,
-//       demotions} (DESIGN.md §8.4; event counters outside search/total
-//       steps and excluded from rate gating — policy activity scales with
-//       skew, not with code quality); structure_stats gains `level_counts`
-//       (the tower-height histogram the policy reshapes); cells gain a
+//   v8  distribution-adaptive tower heights: cells gain an adaptation
+//       on/off axis and the `zipf_drift` axis (default false — the hot-set
+//       drift mode), plus a report-only finger flag; steps gains
+//       {adapt_checks, promotions, demotions}; structure_stats gains
+//       `level_counts` (the tower-height histogram); cells gain a
 //       `structure_checkpoints` object (25/50/75% mid-run samples + final)
-//       and a new "toplevel_ablation" section sweeps adaptation on/off on
-//       matched zipf/uniform cells.  Purely additive again.
+//       and a new "toplevel_ablation" section sweeps adaptation on/off.
+//       Purely additive again.
+//   v9  search finger and adaptive tower heights removed: cells drop the
+//       adaptation axis and the finger flag; steps drop {finger_hits,
+//       finger_misses, hops_finger_saved, adapt_checks, promotions,
+//       demotions}; structure_checkpoints drop {final_promotions,
+//       final_demotions}; the "toplevel_ablation" section and its summary
+//       are gone.  compare_bench.py joins v8 files on the remaining axes.
 inline void write_suite_header(JsonWriter& j, const char* suite,
                                const std::string& rev, bool quick) {
-  j.kv("schema_version", 8);
+  j.kv("schema_version", 9);
   j.kv("suite", suite);
   j.kv("git_rev", rev);
   j.kv("timestamp_utc", iso8601_utc_now());
@@ -440,9 +423,6 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("node_hops", s.node_hops);
   j.kv("hops_top", s.hops_top);
   j.kv("hops_descent", s.hops_descent);
-  j.kv("finger_hits", s.finger_hits);
-  j.kv("finger_misses", s.finger_misses);
-  j.kv("hops_finger_saved", s.hops_finger_saved);
   j.kv("hash_probes", s.hash_probes);
   j.kv("probes_lookup", s.probes_lookup);
   j.kv("probes_chain", s.probes_chain);
@@ -473,16 +453,13 @@ inline void write_step_counters(JsonWriter& j, const StepCounters& s) {
   j.kv("queue_full_waits", s.queue_full_waits);
   j.kv("queue_depth_sum", s.queue_depth_sum);
   j.kv("queue_wait_ns", s.queue_wait_ns);
-  j.kv("adapt_checks", s.adapt_checks);
-  j.kv("promotions", s.promotions);
-  j.kv("demotions", s.demotions);
   j.end_object();
 }
 
 // One record per measured cell; keys stable across suites so files from two
 // revisions can be joined on (section, structure, universe_bits, threads,
-// mix, dist, batch_size, shards, key_kind, leaf_chunking, adaptive_heights,
-// zipf_drift, repeat).
+// mix, dist, batch_size, shards, key_kind, leaf_chunking, zipf_drift,
+// repeat).
 inline void write_cell(JsonWriter& j, const CellSpec& spec,
                        const CellResult& res) {
   const WorkloadResult& r = res.r;
@@ -497,9 +474,7 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
   j.kv("shards", spec.shards);
   j.kv("key_kind", spec.key_kind);
   j.kv("leaf_chunking", spec.leaf_chunking);
-  j.kv("adaptive_heights", spec.adaptive_heights);
   j.kv("zipf_drift", spec.wc.zipf_drift);
-  j.kv("use_finger", spec.use_finger);
   j.kv("key_space", spec.wc.key_space);
   j.kv("prefill", spec.wc.prefill);
   j.kv("seed", spec.wc.seed);
@@ -580,8 +555,6 @@ inline void write_cell(JsonWriter& j, const CellSpec& spec,
     j.kv("max_top", r.structure.max_top);
     j.kv("final_top", r.structure.final_top);
     j.kv("final_keys", r.structure.final_keys);
-    j.kv("final_promotions", r.structure.final_promotions);
-    j.kv("final_demotions", r.structure.final_demotions);
     j.end_object();
   }
   if (spec.structure == "skiplist") {

@@ -1,4 +1,4 @@
-// Example: bulk ingest and multi-get through the batch API (DESIGN.md §3.7).
+// Example: bulk ingest and multi-get through the batch API (DESIGN.md §3.6).
 //
 //   build/examples/bulk_load
 //

@@ -9,23 +9,19 @@
 namespace skiptrie {
 
 LockFreeSkipList::LockFreeSkipList(uint32_t levels, DcssMode mode,
-                                   uint64_t seed, bool use_finger)
+                                   uint64_t seed)
     : seed_(seed),
       arena_(sizeof(Node), kCacheLine, 4096),
       ebr_(),
       ctx_{&ebr_, mode},
-      engine_(ctx_, arena_, levels) {
-  engine_.set_finger_enabled(use_finger);
-}
+      engine_(ctx_, arena_, levels) {}
 
 bool LockFreeSkipList::insert(uint64_t key) {
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key);
   const uint32_t h = deterministic_height(seed_, x, engine_.top_level());
-  // Null fallback = top-level head: the baseline has no trie, but it shares
-  // the cursor entry points (DESIGN.md §3.6–§3.7) so steps/op comparisons
-  // against the SkipTrie isolate the paper's claim, not the finger.
-  const auto r = engine_.fingered_insert(x, h, nullptr, nullptr);
+  // The baseline has no trie: every search starts at the top-level head.
+  const auto r = engine_.insert(x, engine_.head(engine_.top_level()), h);
   if (r.undone_top != nullptr) {
     // No trie indexes the baseline, so a CAS-fallback top-level undo needs
     // no sweep — just give the storage back.
@@ -38,7 +34,7 @@ bool LockFreeSkipList::insert(uint64_t key) {
 bool LockFreeSkipList::erase(uint64_t key) {
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key);
-  auto r = engine_.fingered_erase(x, nullptr, nullptr);
+  auto r = engine_.erase(x, engine_.head(engine_.top_level()));
   if (!r.erased) return false;
   size_.fetch_sub(1, std::memory_order_relaxed);
   engine_.retire_owned(r);
@@ -48,14 +44,14 @@ bool LockFreeSkipList::erase(uint64_t key) {
 bool LockFreeSkipList::contains(uint64_t key) const {
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key);
-  const auto b = engine_.fingered_descend(x, 0, nullptr, nullptr);
+  const auto b = engine_.locate(x, nullptr, nullptr);
   return b.right->ikey() == x;
 }
 
 std::optional<uint64_t> LockFreeSkipList::predecessor(uint64_t key) const {
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key) + 1;
-  const auto b = engine_.fingered_descend(x, 0, nullptr, nullptr);
+  const auto b = engine_.locate(x, nullptr, nullptr);
   if (b.left->kind() != NodeKind::kInterior) return std::nullopt;
   return b.left->ikey() - 1;
 }
@@ -63,7 +59,7 @@ std::optional<uint64_t> LockFreeSkipList::predecessor(uint64_t key) const {
 std::optional<uint64_t> LockFreeSkipList::successor(uint64_t key) const {
   EbrDomain::Guard g(ebr_);
   const uint64_t x = ikey_of(key) + 1;
-  const auto b = engine_.fingered_descend(x, 0, nullptr, nullptr);
+  const auto b = engine_.locate(x, nullptr, nullptr);
   if (b.right->kind() != NodeKind::kInterior) return std::nullopt;
   return b.right->ikey() - 1;
 }

@@ -24,14 +24,10 @@ namespace skiptrie {
 class LockFreeSkipList {
  public:
   // levels: number of index levels; 20 supports ~2^20 keys at the usual
-  // 1/2 promotion probability (depth log m).  use_finger mirrors
-  // Config::use_finger so ablation runs can unfinger both structures —
-  // comparing a fingered baseline against an unfingered SkipTrie would
-  // conflate the finger's benefit with the trie's.
+  // 1/2 promotion probability (depth log m).
   explicit LockFreeSkipList(uint32_t levels = 20,
                             DcssMode mode = DcssMode::kDcss,
-                            uint64_t seed = 0x5eed5eed5eed5eedull,
-                            bool use_finger = true);
+                            uint64_t seed = 0x5eed5eed5eed5eedull);
 
   bool insert(uint64_t key);
   bool erase(uint64_t key);
@@ -39,7 +35,7 @@ class LockFreeSkipList {
   std::optional<uint64_t> predecessor(uint64_t key) const;  // largest <= key
   std::optional<uint64_t> successor(uint64_t key) const;    // smallest > key
 
-  // Batched operations (DESIGN.md §3.7): same contract as SkipTrie's —
+  // Batched operations (DESIGN.md §3.6): same contract as SkipTrie's —
   // sort, stream through one DescentCursor, results in input order, each
   // key linearizing individually.  Provided on the baseline so batched
   // steps/op comparisons isolate the paper's claim, like the single-key

@@ -8,7 +8,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   hops_descent += o.hops_descent;
   finger_hits += o.finger_hits;
   finger_misses += o.finger_misses;
-  hops_finger_saved += o.hops_finger_saved;
   hash_probes += o.hash_probes;
   probes_lookup += o.probes_lookup;
   probes_chain += o.probes_chain;
@@ -41,7 +40,6 @@ StepCounters& StepCounters::operator+=(const StepCounters& o) {
   queue_wait_ns += o.queue_wait_ns;
   adapt_checks += o.adapt_checks;
   promotions += o.promotions;
-  demotions += o.demotions;
   return *this;
 }
 
@@ -52,7 +50,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.hops_descent -= o.hops_descent;
   r.finger_hits -= o.finger_hits;
   r.finger_misses -= o.finger_misses;
-  r.hops_finger_saved -= o.hops_finger_saved;
   r.hash_probes -= o.hash_probes;
   r.probes_lookup -= o.probes_lookup;
   r.probes_chain -= o.probes_chain;
@@ -85,7 +82,6 @@ StepCounters StepCounters::operator-(const StepCounters& o) const {
   r.queue_wait_ns -= o.queue_wait_ns;
   r.adapt_checks -= o.adapt_checks;
   r.promotions -= o.promotions;
-  r.demotions -= o.demotions;
   return r;
 }
 

@@ -17,16 +17,9 @@ struct StepCounters {
   uint64_t node_hops = 0;        // list-node traversal steps (all levels)
   // Fine-grained attribution of node_hops (see DESIGN.md §5.2).  Like the
   // probe attribution below, these do NOT enter search_steps()/
-  // total_steps(): hops_top + hops_descent == node_hops always, and the
-  // finger counters tally events/levels, not shared-memory steps.
+  // total_steps(): hops_top + hops_descent == node_hops always.
   uint64_t hops_top = 0;         // node_hops incurred at the engine's top level
   uint64_t hops_descent = 0;     // node_hops incurred below the top level
-  uint64_t finger_hits = 0;      // fingered descents entered below the fallback
-                                 // start (bracket cache hit, DESIGN.md §3.6)
-  uint64_t finger_misses = 0;    // fingered descents that used the fallback
-  uint64_t hops_finger_saved = 0;// level searches skipped by finger hits
-                                 // (top - entry level per hit): a lower bound
-                                 // on the node hops the hit avoided
   uint64_t hash_probes = 0;      // hash-chain nodes visited (all find() calls)
   // Fine-grained attribution of hash_probes (see DESIGN.md §5.1).  These do
   // NOT enter search_steps()/total_steps() — they attribute work hash_probes
@@ -71,7 +64,8 @@ struct StepCounters {
   uint64_t cursor_reuses = 0;     // warm DescentCursor seeks served from a
                                   // retained bracket (entered below the top)
   uint64_t cursor_redescends = 0; // warm seeks whose brackets all failed and
-                                  // that re-ran the fingered/fallback entry
+                                  // that re-entered from the top row or the
+                                  // fallback start
   uint64_t batch_ops = 0;         // batch API calls issued (any size)
   uint64_t batch_keys = 0;        // keys processed through the batch API
   // Sharded-engine / service attribution (schema v5, DESIGN.md §5.4).
@@ -92,16 +86,11 @@ struct StepCounters {
                                   // service_subtasks = mean depth)
   uint64_t queue_wait_ns = 0;     // ns between a subtask's enqueue and a
                                   // worker dequeuing it
-  // Adaptive-heights attribution (schema v8, DESIGN.md §8.4).  Event
-  // counters: they tally policy activity, not shared-memory search steps,
-  // and do NOT enter search_steps()/total_steps() — with adaptation off all
-  // three are zero and every other counter matches the seed exactly.
-  uint64_t adapt_checks = 0;      // sampled reads that fed the frequency
-                                  // sketch and evaluated the thresholds
-  uint64_t promotions = 0;        // towers raised above their deterministic
-                                  // draw by the policy
-  uint64_t demotions = 0;         // promoted towers swept back down to
-                                  // their deterministic draw
+  // Always zero; kept only because wallbench/src/main.cpp still reads them.
+  uint64_t finger_hits = 0;
+  uint64_t finger_misses = 0;
+  uint64_t adapt_checks = 0;
+  uint64_t promotions = 0;
 
   StepCounters& operator+=(const StepCounters& o);
   StepCounters operator-(const StepCounters& o) const;
@@ -132,17 +121,14 @@ struct LeafLiveStats {
   }
 };
 
-// Cheap, always-current structural totals (schema v8, DESIGN.md §8.4).
-// Read from atomic counters maintained by the operation paths, so any
-// thread may sample them mid-run — the driver's checkpoint seam uses this
-// to chart adaptation speed (top-level population and promotion/demotion
-// totals per run quarter).  Approximate under races by at most the number
-// of in-flight operations; exact at quiescence.
+// Cheap, always-current structural totals.  Read from atomic counters
+// maintained by the operation paths, so any thread may sample them mid-run
+// — the driver's checkpoint seam charts the top-level population per run
+// quarter from this.  Approximate under races by at most the number of
+// in-flight operations; exact at quiescence.
 struct StructureLiveStats {
   uint64_t keys = 0;        // current set size
   uint64_t top_count = 0;   // towers currently reaching the top level
-  uint64_t promotions = 0;  // policy promotions since construction
-  uint64_t demotions = 0;   // policy demotions since construction
 };
 
 // The calling thread's counters.  Distinct threads get distinct instances.

@@ -1,4 +1,4 @@
-// SkipTrie batched operations (DESIGN.md §3.7): sort, then stream the keys
+// SkipTrie batched operations (DESIGN.md §3.6): sort, then stream the keys
 // through one DescentCursor.  Each key is processed under its own EBR pin
 // and linearizes exactly like its single-key counterpart; between keys the
 // cursor's retained nodes may be retired and recycled, which the reuse

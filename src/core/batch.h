@@ -1,4 +1,4 @@
-// Batched bulk-operation plumbing (DESIGN.md §3.7).
+// Batched bulk-operation plumbing (DESIGN.md §3.6).
 //
 // The batch API's contract — on SkipTrie and the full-height baseline alike
 // — is "one walk, many keys": sort the input, then stream the sorted keys

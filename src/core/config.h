@@ -28,12 +28,8 @@ struct Config {
   // Maximum bucket count of the prefix hash table.
   size_t max_hash_buckets = 1u << 20;
 
-  // Per-thread fingered descent (DESIGN.md §3.6).  Off = every operation
-  // takes the x-fast pred_start path unconditionally (ablation/diagnosis).
-  bool use_finger = true;
-
   // Batched operations stream sorted keys through one DescentCursor
-  // (DESIGN.md §3.7).  Off = the batch API degenerates to a per-key loop
+  // (DESIGN.md §3.6).  Off = the batch API degenerates to a per-key loop
   // over the single-key operations (ablation/measurement; results are
   // identical either way).
   bool use_cursor_batching = true;
@@ -47,20 +43,6 @@ struct Config {
   bool leaf_chunking = SKIPTRIE_LEAF_CHUNKING_DEFAULT;
 #else
   bool leaf_chunking = true;
-#endif
-
-  // Distribution-adaptive tower heights (DESIGN.md §8): a sampled frequency
-  // sketch promotes hot keys' towers through the insert-time raise path and
-  // demotes cold promoted toppers through the delete-time sweep, so a hot
-  // key's depth approaches O(1) for every thread (splay-list-style policy).
-  // Off reproduces the seed layout and step counts exactly — heights stay
-  // the pure deterministic Geometric(1/2) draw and reads never early-exit —
-  // so step_pinning_test pins its goldens with this off.  The compile-time
-  // default lets CI build an adaptation-off matrix leg.
-#ifdef SKIPTRIE_ADAPTIVE_HEIGHTS_DEFAULT
-  bool adaptive_heights = SKIPTRIE_ADAPTIVE_HEIGHTS_DEFAULT;
-#else
-  bool adaptive_heights = true;
 #endif
 
   // Slab granularity of the node arena.

@@ -11,10 +11,9 @@
 // where u = 2^B is the universe size and c the contention (paper Thm. 4.3).
 // Internally: a truncated lock-free skiplist of log log u levels whose
 // top-level nodes are doubly linked and indexed by a concurrent x-fast trie
-// over a split-ordered hash table; every operation's descent goes through a
-// per-thread search finger (DESIGN.md §3.6) that lets repeated or skewed
-// targets skip both the trie query and the upper levels.  See DESIGN.md
-// for the full inventory.
+// over a split-ordered hash table: every single-key operation asks the trie
+// for a top-level start node, then descends the few levels below it.  See
+// DESIGN.md for the full inventory.
 //
 // The structure is a template over KeyTraits (DESIGN.md §6):
 // `using SkipTrie = BasicSkipTrie<U64Traits>` is the historical u64 set
@@ -34,7 +33,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <vector>
 
@@ -42,7 +40,6 @@
 #include "core/config.h"
 #include "reclaim/arena.h"
 #include "reclaim/ebr.h"
-#include "skiplist/adaptive.h"
 #include "skiplist/engine.h"
 #include "xfast/xfast_trie.h"
 
@@ -82,7 +79,7 @@ class BasicSkipTrie {
   // Smallest key' > key.
   std::optional<key_type> successor(key_type key) const;
 
-  // --- Batched operations (DESIGN.md §3.7, src/core/batch.cpp) -----------
+  // --- Batched operations (DESIGN.md §3.6, src/core/batch.cpp) -----------
   // Each call sorts the keys and streams them through one DescentCursor:
   // one full descent for the first key, then every key enters at the lowest
   // level where the cursor's bracket still holds — skipping the x-fast
@@ -133,10 +130,7 @@ class BasicSkipTrie {
     if (lo > hi) return;
     EbrDomain::Guard g(ebr_);
     const Ikey xlo = ikey_of(lo);
-    // kRight exact exit (DESIGN.md §8.3): when lo itself is a promoted hot
-    // key, the bracket's right side is its level-0 root — exactly where the
-    // level-0 walk below starts either way.
-    const typename Engine::Bracket b = locate(lo, xlo, LocateExact::kRight);
+    const typename Engine::Bracket b = locate(lo, xlo);
     const Ikey xhi = ikey_of(hi);
     for (Node_t* n = b.right;
          n != nullptr && n->kind() == NodeKind::kInterior && n->ikey() <= xhi;
@@ -190,23 +184,14 @@ class BasicSkipTrie {
     return cm != nullptr ? cm->live_stats() : LeafLiveStats{};
   }
 
-  // Cheap atomic structural totals, safe to sample mid-run from any thread
-  // (DESIGN.md §8.4): the driver's checkpoint seam charts adaptation speed
-  // from these.  promotions/demotions stay zero when adaptation is off.
+  // Cheap atomic structural totals, safe to sample mid-run from any thread:
+  // the driver's checkpoint seam charts the top-level population from these.
   StructureLiveStats structure_live_stats() const {
     StructureLiveStats s;
     s.keys = size();
     s.top_count = top_live_.load(std::memory_order_relaxed);
-    if (adapt_ != nullptr) {
-      s.promotions = adapt_->promotions();
-      s.demotions = adapt_->demotions();
-    }
     return s;
   }
-
-  // The adaptation manager, nullptr when Config::adaptive_heights is off
-  // (white-box tests).
-  AdaptiveHeightManager* adaptive() const { return adapt_.get(); }
 
   // Internal components, exposed for white-box tests and benchmarks.
   Engine& engine() { return engine_; }
@@ -218,39 +203,19 @@ class BasicSkipTrie {
 
  private:
   Ikey ikey_of(key_type key) const { return key + Ikey(1); }
-  // Seed-stable tower height for ikey x (DESIGN.md §3.7): derived from
+  // Seed-stable tower height for ikey x (DESIGN.md §3.6): derived from
   // (cfg_.seed, x) alone, so step counts are cell-comparable across runs
   // regardless of thread start order.  The ikey folds through the traits'
   // height_mix — for U64Traits exactly the seed's draw.
   uint32_t tower_height(Ikey x) const;
-  // The one fingered descent seam every read-path operation goes through
-  // (DESIGN.md §3.6): a finger hit starts below the top and skips
-  // lowest_ancestor entirely; a miss runs the x-fast pred_start and the
-  // descent seeds the finger from it.  Must be called with ebr_ pinned.
-  // `exact` selects the adaptive early exit the caller can consume
-  // (DESIGN.md §8.3); it is forced to kNone while adaptation is off, so
-  // the off configuration descends exactly like the seed.
-  typename Engine::Bracket locate(key_type key, Ikey x,
-                                  LocateExact exact = LocateExact::kNone) const;
-
-  // --- Adaptive tower heights: policy side (DESIGN.md §8) -----------------
-  // Sampling hook run by the single-key reads on the level-0 node they
-  // observed: every 2^kSamplePeriodLog2-th read per thread feeds the
-  // frequency sketch and, when the splay-list threshold for the tower's
-  // current height is crossed, promotes the tower under the adapt latch.
-  void maybe_adapt(Node_t* n) const;
-  // Raise root's tower to `want` levels and publish the consequences
-  // (x-fast prefixes on reaching the top, registry entry, counters).
-  // Caller holds the adapt latch for the tower's fingerprint.
-  void adapt_promote(Ikey x, Node_t* root, uint32_t want) const;
-  // Scan a few promoted-registry slots for a cold tower and demote it back
-  // to its deterministic draw (bounded amortized rotation: each promotion
-  // pays for kDemoteScanPerPromote probes).
-  void adapt_demote_scan() const;
+  // The descent every single-key read goes through: the x-fast pred_start
+  // supplies the start node, then the engine descends (through the leaf
+  // chunks when they are on).  Must be called with ebr_ pinned.
+  typename Engine::Bracket locate(key_type key, Ikey x) const;
 
   // Lazy x-fast start for the engine's cursor entry points: only invoked
-  // when neither the cursor nor the finger has a usable bracket, so those
-  // paths pay zero hash probes (DESIGN.md §3.6–§3.7).
+  // when the cursor has no usable bracket, so reuses pay zero hash probes
+  // (DESIGN.md §3.6).
   struct TrieStartEnv {
     Trie* trie;
     key_type key;
@@ -272,13 +237,9 @@ class BasicSkipTrie {
   DcssContext ctx_;
   mutable Engine engine_;
   mutable Trie trie_;
-  // The adaptation policy state (DESIGN.md §8); null when
-  // Config::adaptive_heights is off — every hook checks and the structure
-  // then behaves exactly like the seed.
-  std::unique_ptr<AdaptiveHeightManager> adapt_;
   std::atomic<int64_t> size_{0};
   // Towers currently at the top level (mid-run sampling; maintained by
-  // finish_insert/finish_erase and the promote/demote wrappers).
+  // finish_insert/finish_erase).
   mutable std::atomic<uint64_t> top_live_{0};
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 
 namespace skiptrie {
 
@@ -55,11 +56,18 @@ detail::EbrThreadState* EbrDomain::thread_state() {
   for (auto* s : reg.states) {
     if (s->domain == this) return s;
   }
-  auto* s = new detail::EbrThreadState();
-  s->domain = this;
+  detail::EbrThreadState* s = nullptr;
   {
     std::lock_guard<std::mutex> lk(slot_mu_);
-    assert(!free_slots_.empty() && "too many threads for EbrDomain");
+    // Checked in every build type, before anything is allocated or taken:
+    // the threads already registered keep their slots and the domain stays
+    // usable for them.
+    if (free_slots_.empty()) {
+      throw std::length_error(
+          "EbrDomain: more than kMaxThreads threads registered at once");
+    }
+    s = new detail::EbrThreadState();
+    s->domain = this;
     s->slot = free_slots_.back();
     free_slots_.pop_back();
     registered_.push_back(s);

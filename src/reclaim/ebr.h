@@ -14,7 +14,10 @@
 //
 // Threads register implicitly on first use of a domain and may use any
 // number of domains; per-domain thread state is found via a small
-// thread-local registry.  Slot scanning is O(max registered threads).
+// thread-local registry.  Slot scanning is O(max registered threads).  At
+// most kMaxThreads threads may be registered with one domain at once (a
+// thread's slot is released when it exits); registering one more throws
+// std::length_error from the Guard constructor, in every build type.
 #pragma once
 
 #include <atomic>

@@ -6,8 +6,7 @@
 // (B - log2 N)-bit universe, so every shard keeps the truncated-skiplist
 // depth bound of its own (smaller) universe.  Each shard owns the full
 // per-structure stack — SlabArena, EbrDomain, engine (and with it a unique
-// finger/cursor owner id, hence per-shard thread-local finger and cursor
-// state) — so shards share *no* mutable memory: operations on different
+// cursor owner id, hence per-shard thread-local cursor state) — so shards share *no* mutable memory: operations on different
 // shards never contend, which is what gives the service layer
 // (src/service/) real parallelism to schedule onto.
 //
@@ -161,16 +160,14 @@ class BasicShardedEngine {
     return agg;
   }
 
-  // Mid-run-safe structural totals: sum of the per-shard atomic counters
-  // (DESIGN.md §8.4).  All fields are additive across shards.
+  // Mid-run-safe structural totals: sum of the per-shard atomic counters.
+  // All fields are additive across shards.
   StructureLiveStats structure_live_stats() const {
     StructureLiveStats agg;
     for (const auto& sp : shards_) {
       const StructureLiveStats s = sp->structure_live_stats();
       agg.keys += s.keys;
       agg.top_count += s.top_count;
-      agg.promotions += s.promotions;
-      agg.demotions += s.demotions;
     }
     return agg;
   }

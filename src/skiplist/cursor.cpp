@@ -1,12 +1,13 @@
 #include "skiplist/cursor.h"
 
+#include <atomic>
 #include <cstddef>
 #include <memory>
+#include <mutex>
 #include <vector>
 
 #include "common/stats.h"
 #include "dcss/dcss.h"
-#include "skiplist/finger.h"
 
 namespace skiptrie {
 
@@ -24,8 +25,7 @@ template <typename Traits>
 auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
                                       StartFn fallback, void* env,
                                       uint32_t stop_level,
-                                      uint32_t* stopped_at, LocateExact exact,
-                                      bool* exact_hit) -> Bracket {
+                                      uint32_t* stopped_at) -> Bracket {
   Engine& e = *eng_;
   const uint32_t top = e.top_level();
   auto& c = tls_counters();
@@ -50,12 +50,10 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
   };
   // Run the descent from (start, lvl).  A cold seek head-fills EVERY row
   // first (the descent then overwrites the rows it traverses): this covers
-  // rows above the entry, rows below a stop_level floor, and — under
-  // adaptive heights — the rows an exact-match exit (DESIGN.md §8.3) never
-  // reaches, so no row is ever left holding garbage a later warm screen
-  // would dereference.  Any entry at the top makes every row real.
-  const auto enter = [&](Node_t* start, uint32_t lvl,
-                         BasicSearchFinger<Traits>* f, uint64_t epoch) {
+  // rows above the entry and rows below a stop_level floor, so no row is
+  // ever left holding garbage a later warm screen would dereference.  Any
+  // entry at the top makes every row real.
+  const auto enter = [&](Node_t* start, uint32_t lvl) {
     const uint32_t floor = lvl < stop_level ? lvl : stop_level;
     if (stopped_at != nullptr) *stopped_at = floor;
     if (lvl == top) rows_real_ = true;
@@ -66,88 +64,35 @@ auto BasicDescentCursor<Traits>::seek(Ikey x, uint32_t cold_min_level,
         right_ikey_[l] = Ikey(0);
       }
     }
-    return e.descend_from(x, start, lvl, left_, f, epoch, this, floor, exact,
-                          exact_hit);
+    return e.descend_from(x, start, lvl, left_, this, floor);
   };
 
-  // Reuse candidate: the lowest retained row (at or above eff_min) whose
-  // bracket still contains x and whose left node passes the finger-style
-  // identity screen (DESIGN.md §3.6 — kind, level, ikey, unmarked).
-  // Containment against the *recorded* right ikey plays the adjacency
-  // role: everything between left and x at seek time is at most what has
-  // been inserted into the bracket since it was recorded.
-  int cl = BasicSearchFinger<Traits>::kMiss;
-  Node_t* cstart = nullptr;
   if (was_warm) {
+    // Reuse: the lowest retained row (at or above eff_min) whose bracket
+    // still contains x and whose left node passes the identity screen
+    // (DESIGN.md §3.6 — kind, level, ikey, unmarked).  Containment against
+    // the *recorded* right ikey plays the adjacency role: everything
+    // between left and x at seek time is at most what has been inserted
+    // into the bracket since it was recorded.
     for (uint32_t l = eff_min; l <= top; ++l) {
       if (!(left_ikey_[l] < x && x <= right_ikey_[l])) continue;
       if (!row_validates(l)) continue;
-      cl = static_cast<int>(l);
-      cstart = left_[l];
-      break;
-    }
-  }
-
-  // The finger composes with the cursor rather than being displaced by it:
-  // the retained bracket tracks the *stream* position while the finger is
-  // a many-way cache over the whole key space, and either may offer the
-  // lower entry.
-  if (e.finger_on_) {
-    BasicSearchFinger<Traits>& f = e.finger();
-    const uint64_t now = e.ctx_.ebr->global_epoch();
-    Node_t* fstart = nullptr;
-    const int fl = f.try_start(x, eff_min, now, &fstart);
-    if (fl >= 0 && (cl < 0 || fl < cl)) {
-      // A warm seek the finger serves below the cursor's bracket is still a
-      // redescent in the cursor's books: reuses + redescends == warm seeks.
-      if (was_warm) c.cursor_redescends++;
-      c.finger_hits++;
-      c.hops_finger_saved += top - static_cast<uint32_t>(fl);
-      return enter(fstart, static_cast<uint32_t>(fl), &f, now);
-    }
-    if (cl >= 0) {
       c.cursor_reuses++;
-      // Reuse descents record into the finger like any other descent: the
-      // frequency cascade (kRecordDepth below the entry) and CLOCK
-      // retention already bound how fast a one-shot sweep can displace hot
-      // brackets, and a starved finger would otherwise stop offering the
-      // low entries the compose check above depends on.
-      return enter(cstart, static_cast<uint32_t>(cl), &f, now);
+      return enter(left_[l], l);
     }
-    if (was_warm) {
-      c.cursor_redescends++;
-      c.finger_misses++;
-      // Every bracket went stale, but on an ascending stream the retained
-      // *top* row is still a position left of x — enter there and walk
-      // right, skipping the fallback (for the SkipTrie: every hash probe
-      // after the batch's first key).  Amortized over a batch, the top
-      // walk crosses each top-level node of the swept range once.
-      if (top_entry_usable(x) && row_validates(top)) {
-        return enter(left_[top], top, &f, now);
-      }
-      Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
-      const uint32_t lvl = e.resolve_start(x, start);
-      return enter(start, lvl, &f, now);
-    }
-    c.finger_misses++;
-    Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
-    const uint32_t lvl = e.resolve_start(x, start);
-    return enter(start, lvl, &f, now);
-  }
-
-  if (cl >= 0) {
-    c.cursor_reuses++;
-    return enter(cstart, static_cast<uint32_t>(cl), nullptr, 0);
-  }
-  if (was_warm) {
     c.cursor_redescends++;
+    // Every bracket went stale, but on an ascending stream the retained
+    // *top* row is still a position left of x — enter there and walk
+    // right, skipping the fallback (for the SkipTrie: every hash probe
+    // after the batch's first key).  Amortized over a batch, the top walk
+    // crosses each top-level node of the swept range once.
     if (top_entry_usable(x) && row_validates(top)) {
-      return enter(left_[top], top, nullptr, 0);
+      return enter(left_[top], top);
     }
   }
   Node_t* start = fallback != nullptr ? fallback(env, x) : e.head_[top];
   const uint32_t lvl = e.resolve_start(x, start);
-  return enter(start, lvl, nullptr, 0);
+  return enter(start, lvl);
 }
 
 template <typename Traits>
@@ -192,16 +137,40 @@ void BasicDescentCursor<Traits>::note_erase(Ikey x) {
   }
 }
 
+// --- Owner ids and the dead-owner journal -------------------------------------
+//
+// Owner ids are never reused, so the registry below keys slots by owner and
+// hands out stable objects.  To keep a thread's registry from growing with
+// every engine it has *ever* touched (bench_suite's main thread prefills
+// hundreds of short-lived structures), a destroyed engine appends its owner
+// id here and each registry drops matching slots lazily on its next lookup.
+// The journal itself is append-only (8 bytes per engine ever destroyed) and
+// each thread only scans the suffix it has not yet seen.  One journal serves
+// the registries of every traits instantiation (owner ids are global).
+
 namespace {
 
-// Per-thread cursor registry, mirroring the finger registry (finger.cpp):
-// one stable slot per live engine the thread has touched, keyed by the
-// never-reused owner id, growable, with move-toward-front promotion and a
-// lazy sweep of the shared dead-owner journal (DESIGN.md §4.2).  A slot is
-// never rebound while its owner lives, so cursors fetched for different
-// engines never alias and a shard's stream state survives the thread
-// visiting every other shard in between.  One registry per traits
-// instantiation, like the finger's.
+std::mutex dead_owner_mu;
+std::vector<uint64_t> dead_owner_journal;
+std::atomic<uint64_t> dead_owner_ver{0};
+
+// Appends owners released since journal position `since` to `out` and
+// returns the new position.
+uint64_t dead_owners_since(uint64_t since, std::vector<uint64_t>& out) {
+  std::lock_guard<std::mutex> lk(dead_owner_mu);
+  out.assign(dead_owner_journal.begin() + static_cast<ptrdiff_t>(since),
+             dead_owner_journal.end());
+  return dead_owner_journal.size();
+}
+
+// Per-thread cursor registry: one stable slot per live engine the thread
+// has touched, keyed by the never-reused owner id, growable, with
+// move-toward-front promotion and a lazy sweep of the dead-owner journal
+// (DESIGN.md §4.2).  A slot is never rebound while its owner lives, so
+// cursors fetched for different engines never alias and a shard's stream
+// state survives the thread visiting every other shard in between.  One
+// registry per traits instantiation (owner ids never collide across
+// instantiations, but the slot payloads are different types).
 template <typename Traits>
 struct CursorSlot {
   uint64_t owner = 0;
@@ -210,7 +179,7 @@ struct CursorSlot {
 template <typename Traits>
 struct CursorRegistry {
   std::vector<CursorSlot<Traits>> slots;
-  uint64_t seen_dead = 0;
+  uint64_t seen_dead = 0;  // journal position already processed
   std::vector<uint64_t> scratch;
 };
 
@@ -220,11 +189,10 @@ CursorRegistry<Traits>& tl_cursor_reg() {
   return reg;
 }
 
-template <typename Registry>
-void sweep_dead_cursors(Registry& reg) {
-  const uint64_t v = detail::dead_owner_version();
-  if (v == reg.seen_dead) return;
-  reg.seen_dead = detail::dead_owners_since(reg.seen_dead, reg.scratch);
+template <typename Traits>
+void sweep_dead_owners(CursorRegistry<Traits>& reg) {
+  if (dead_owner_ver.load(std::memory_order_acquire) == reg.seen_dead) return;
+  reg.seen_dead = dead_owners_since(reg.seen_dead, reg.scratch);
   for (const uint64_t dead : reg.scratch) {
     for (size_t i = 0; i < reg.slots.size(); ++i) {
       if (reg.slots[i].owner == dead) {
@@ -237,13 +205,27 @@ void sweep_dead_cursors(Registry& reg) {
 
 }  // namespace
 
+uint64_t new_engine_owner() {
+  static std::atomic<uint64_t> counter{1};
+  return counter.fetch_add(1, std::memory_order_relaxed);
+}
+
+void release_engine_owner(uint64_t owner) {
+  std::lock_guard<std::mutex> lk(dead_owner_mu);
+  dead_owner_journal.push_back(owner);
+  dead_owner_ver.store(dead_owner_journal.size(), std::memory_order_release);
+}
+
 template <typename Traits>
 BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
                                        BasicSkipListEngine<Traits>& engine) {
   CursorRegistry<Traits>& reg = tl_cursor_reg<Traits>();
-  sweep_dead_cursors(reg);
+  sweep_dead_owners(reg);
   for (size_t i = 0; i < reg.slots.size(); ++i) {
     if (reg.slots[i].owner == owner) {
+      // Swapping slots moves only the owner word and the unique_ptr; the
+      // cursor objects themselves never move, so held references stay
+      // valid across promotions.
       if (i > 0) {
         std::swap(reg.slots[i], reg.slots[i - 1]);
         --i;
@@ -261,7 +243,7 @@ BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
 template <typename Traits>
 size_t tls_cursor_registry_size_of() {
   CursorRegistry<Traits>& reg = tl_cursor_reg<Traits>();
-  sweep_dead_cursors(reg);
+  sweep_dead_owners(reg);
   return reg.slots.size();
 }
 

@@ -1,4 +1,4 @@
-// Resumable descent position over a SkipListEngine (DESIGN.md §3.7).
+// Resumable descent position over a SkipListEngine (DESIGN.md §3.6).
 //
 // A DescentCursor owns the per-level bracket state that a descent produces —
 // for every level, the left node it passed through plus the ikeys that
@@ -8,30 +8,31 @@
 // SkipTrie, the whole x-fast `lowest_ancestor` query) and every level above
 // the entry.  Sorted key streams (the batch API, src/core/batch.h) therefore
 // pay one full descent for the first key and O(1 + log distance) levels per
-// key after it; a cold cursor degenerates to exactly the PR 4 fingered entry
-// protocol, which is how the single-key operations route through this same
-// seam (they construct a fresh cursor per call).
+// key after it; a cold cursor runs the plain fallback-then-descend path,
+// which is how the single-key reads route through this same seam (they
+// construct a fresh cursor per call).
 //
-// Safety is the finger story (DESIGN.md §3.6) verbatim: retained nodes may
-// be retired, poisoned and recycled between seeks (the batch loop re-pins
-// EBR per key), so every reuse candidate is screened by identity
-// (kind/level/ikey), unmarkedness, and bracket containment before it is
-// trusted — and even then it is only a start *hint* that `list_search`
-// re-validates.  A stale cursor costs steps, never answers.
+// Retained nodes may be retired, poisoned and recycled between seeks (the
+// batch loop re-pins EBR per key).  Storage is type-stable (DESIGN.md §3.3),
+// so every reuse candidate is screened by identity (kind/level/ikey),
+// unmarkedness, and bracket containment before it is trusted — and even
+// then it is only a start *hint* that `list_search` re-validates.  A stale
+// cursor costs steps, never answers.
 //
 // A DescentCursor is single-threaded state, like a stack variable: it must
 // not be shared between threads, and it holds no resources (no pin, no
 // allocation), so abandoning one at any time is free.  The batch API uses
-// the calling thread's persistent cursor (`tls_cursor`, keyed by the same
-// never-reused engine owner id as the finger registry), so consecutive
-// batches skip the cold first descent too; rows retained across calls are
-// as stale as any finger entry and pass through the same screens.
+// the calling thread's persistent cursor (`tls_cursor`, keyed by a
+// never-reused per-engine owner id), so consecutive batches skip the cold
+// first descent too; rows retained across calls pass through the same
+// screens.
 //
-// Like the engine and finger, the cursor is a template over KeyTraits
-// (DESIGN.md §6) — retained ikeys take the traits' ikey word, and each
-// instantiation keeps its own per-thread registry.
+// Like the engine, the cursor is a template over KeyTraits (DESIGN.md §6) —
+// retained ikeys take the traits' ikey word, and each instantiation keeps
+// its own per-thread registry.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 
 #include "skiplist/engine.h"
@@ -66,27 +67,18 @@ class BasicDescentCursor {
   // (left.ikey < x <= right.ikey).  A warm cursor first tries to reuse a
   // retained bracket (counted in steps.cursor_reuses; a warm seek whose
   // brackets all fail counts in steps.cursor_redescends); a cold cursor —
-  // or a failed reuse — runs the fingered entry protocol: consult the
-  // calling thread's SearchFinger at `cold_min_level`, else `fallback`.
-  // Write streams pass cold_min_level = top so that every retained row is
-  // descent-fresh or a prior row, never a bare level head (their raise and
-  // tower-sweep phases consume hints at every level; see cursor.cpp).
+  // or a failed reuse — starts from `fallback`.  Write streams pass
+  // cold_min_level = top so that every retained row is descent-fresh or a
+  // prior row, never a bare level head (their raise and tower-sweep phases
+  // consume hints at every level; see cursor.cpp).
   //
   // Chunk-terminated reads (DESIGN.md §7.2) pass stop_level > 0: the
   // descent stops at min(entry level, stop_level) and returns that level's
   // bracket (only an entry at level 0 — a retained level-0 bracket still
   // containing x — yields a full bracket).  *stopped_at, when non-null,
   // receives the level of the returned bracket.
-  //
-  // Read paths under adaptive heights pass `exact` != kNone (DESIGN.md
-  // §8.3): the descent may end at an upper level whose bracket touches the
-  // target's promoted tower, returning its level-0 root directly;
-  // *exact_hit (when non-null) reports that exit (the bracket is then
-  // final regardless of stop_level).
   Bracket seek(Ikey x, uint32_t cold_min_level, StartFn fallback, void* env,
-               uint32_t stop_level = 0, uint32_t* stopped_at = nullptr,
-               LocateExact exact = LocateExact::kNone,
-               bool* exact_hit = nullptr);
+               uint32_t stop_level = 0, uint32_t* stopped_at = nullptr);
 
   // Per-level left hints of the last seek (size engine.top_level()+1),
   // in the exact shape insert_from/erase_from consume (and mutate).
@@ -139,15 +131,23 @@ class BasicDescentCursor {
 };
 
 // The calling thread's persistent cursor for the engine identified by
-// `owner` (the finger registry's owner ids; see SkipListEngine::cursor()).
-// Like tls_finger, the returned reference stays valid — and keeps denoting
-// the same engine's cursor — until that engine is destroyed; fetching
-// cursors for any number of other engines never rebinds it (DESIGN.md
-// §4.2).  Dead owners are swept lazily via the shared journal in
-// finger.cpp.  One registry per traits instantiation.
+// `owner` (see SkipListEngine::cursor()).  The returned reference stays
+// valid — and keeps denoting the same engine's cursor — until that engine
+// is destroyed; fetching cursors for any number of other engines never
+// rebinds it (DESIGN.md §4.2).  One registry per traits instantiation.
 template <typename Traits>
 BasicDescentCursor<Traits>& tls_cursor(uint64_t owner,
                                        BasicSkipListEngine<Traits>& engine);
+
+// Unique, never-reused owner id — one per engine instance (any traits).
+uint64_t new_engine_owner();
+
+// Called by the engine's destructor: records `owner` in the dead-owner
+// journal so every thread's cursor registry drops its slot for it on its
+// next lookup (keeping registry growth bounded by the engines actually
+// alive).  Safe from any thread; must not race the owner's own engine
+// still being used.
+void release_engine_owner(uint64_t owner);
 
 // Test hook: number of live slots in the calling thread's cursor registry
 // for this traits instantiation.

@@ -1,6 +1,5 @@
 #include "skiplist/engine.h"
 
-#include <algorithm>
 #include <bit>
 #include <cassert>
 #include <new>
@@ -29,7 +28,7 @@ template <typename Traits>
 BasicSkipListEngine<Traits>::BasicSkipListEngine(DcssContext ctx,
                                                  SlabArena& arena,
                                                  uint32_t top_level)
-    : ctx_(ctx), arena_(arena), top_(top_level) {
+    : ctx_(ctx), arena_(arena), top_(top_level), owner_(new_engine_owner()) {
   assert(top_ >= 1 && top_ <= kMaxLevels);
   assert(arena_.block_size() >= sizeof(Node_t));
   bool fresh = false;
@@ -46,14 +45,14 @@ BasicSkipListEngine<Traits>::BasicSkipListEngine(DcssContext ctx,
 template <typename Traits>
 BasicSkipListEngine<Traits>::~BasicSkipListEngine() {
   // Arena owns all node storage; the only cleanup is publishing this
-  // engine's owner id to the dead-owner journal so every thread's
-  // finger/cursor registry slots for it are reclaimed (DESIGN.md §4.2).
-  release_finger_owner(finger_owner_);
+  // engine's owner id to the dead-owner journal so every thread's cursor
+  // registry slot for it is reclaimed (DESIGN.md §4.2).
+  release_engine_owner(owner_);
 }
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor() -> Cursor& {
-  return tls_cursor<Traits>(finger_owner_, *this);
+  return tls_cursor<Traits>(owner_, *this);
 }
 
 template <typename Traits>
@@ -170,71 +169,18 @@ uint32_t BasicSkipListEngine<Traits>::resolve_start(Ikey x, Node_t*& cur) {
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::descend_from(Ikey x, Node_t* cur,
                                                uint32_t lvl, Node_t** hints,
-                                               Finger* f, uint64_t epoch,
-                                               Cursor* rec, uint32_t floor,
-                                               LocateExact exact,
-                                               bool* exact_hit) -> Bracket {
-  // Record only the kRecordDepth levels just below the entry level (the
-  // frequency cascade, DESIGN.md §3.6): a target must hit at level l before
-  // its descent may populate rows l-1, l-2.  Recording every traversed
-  // level instead floods the low rows — one fresh level-0 bracket per
-  // operation — so on skewed streams the cold tail evicts the hot brackets
-  // faster than they repeat, and the finger never gets to enter low.  The
-  // cascade anchors at the finger's highest cacheable row: a full-height
-  // baseline enters at top ~ log m, far above what the finger stores.
-  uint32_t record_floor = 0;
-  if (f != nullptr) {
-    const uint32_t eff = lvl < f->max_level() ? lvl : f->max_level();
-    record_floor =
-        eff > Finger::kRecordDepth ? eff - Finger::kRecordDepth : 0;
-  }
+                                               Cursor* rec, uint32_t floor)
+    -> Bracket {
   for (;;) {
     Bracket b = list_search(x, cur, lvl);
     if (hints != nullptr) hints[lvl] = b.left;
     if (rec != nullptr) {
-      // Cursor rows re-read the ikeys like the finger record below: a
-      // recycled node yields values its own reuse validation re-checks.
+      // The ikeys are re-read here: if either node was recycled since
+      // list_search returned, the row records a bracket that the cursor's
+      // reuse validation rejects (DESIGN.md §3.6).
       rec->left_[lvl] = b.left;
       rec->left_ikey_[lvl] = b.left->ikey();
       rec->right_ikey_[lvl] = b.right->ikey();
-    }
-    if (f != nullptr && lvl >= record_floor && lvl <= f->max_level()) {
-      // Seed/refresh the finger with the bracket this level just observed.
-      // The ikeys are re-read here: if either node was recycled since
-      // list_search returned, the entry records a bracket that try_start's
-      // validation will reject (or that merely mis-screens — the finger is
-      // a hint either way, DESIGN.md §3.6).
-      f->record(lvl, b.left, b.left->ikey(), b.right->ikey(), epoch);
-    }
-    if (exact != LocateExact::kNone && lvl > 0) {
-      // Adaptive exact-match exit (DESIGN.md §8.3): the target's promoted
-      // tower is visible at this upper level, so the remaining descent can
-      // only re-find the same tower.  The exit must observe the tower's
-      // level-0 ROOT unmarked: the root's mark is the deletion's
-      // linearization point, and in CAS-fallback mode a raise links its
-      // upper node by plain CAS before re-checking the stop word, so an
-      // unmarked upper node can transiently coexist with an already-marked
-      // root (§3.5(5)).  A marked (or recycled/re-keyed) root simply falls
-      // through to the normal descent, which re-resolves everything.
-      Node_t* hit = nullptr;
-      if (exact == LocateExact::kRight) {
-        if (b.right->kind() == NodeKind::kInterior && b.right->ikey() == x) {
-          hit = b.right;
-        }
-      } else if (b.left->kind() == NodeKind::kInterior &&
-                 b.left->ikey() == x - Ikey(1)) {
-        hit = b.left;
-      }
-      if (hit != nullptr) {
-        Node_t* root = hit->root();
-        if (root != nullptr && root->kind() == NodeKind::kInterior &&
-            root->level() == 0 && root->ikey() == hit->ikey() &&
-            !is_marked(dcss_read(root->next))) {
-          if (exact_hit != nullptr) *exact_hit = true;
-          return exact == LocateExact::kRight ? Bracket{b.left, root}
-                                              : Bracket{root, b.right};
-        }
-      }
     }
     if (lvl <= floor) return b;  // floor > 0: chunk-terminated read (§7.2)
     --lvl;
@@ -251,7 +197,7 @@ auto BasicSkipListEngine<Traits>::descend(Ikey x, Node_t* start,
   }
   Node_t* cur = start;
   const uint32_t lvl = resolve_start(x, cur);
-  return descend_from(x, cur, lvl, hints, nullptr, 0);
+  return descend_from(x, cur, lvl, hints);
 }
 
 template <typename Traits>
@@ -276,8 +222,8 @@ void BasicSkipListEngine<Traits>::enable_leaf_chunking(bool on) {
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::chunked_read(Cursor& cur, Ikey x,
-                                               StartFn fallback, void* env,
-                                               LocateExact exact) -> Bracket {
+                                               StartFn fallback, void* env)
+    -> Bracket {
   auto& c = tls_counters();
   LeafChunkManager<Traits>& cm = *chunks_;
   const bool was_warm = cur.warm();
@@ -289,37 +235,18 @@ auto BasicSkipListEngine<Traits>::chunked_read(Cursor& cur, Ikey x,
            n->level() == 0 && n->ikey() < x;
   };
   // Finish from a screened level-0 start, refreshing the retained state a
-  // later read will consult (row 0, the cursor's chunk id, a finger chunk
-  // way, a finger level-0 row).  The two finger caches are complementary:
-  // a chunk way covers a whole ~kKeys-key run but every hit pays an
-  // in-chunk scan, while a level-0 row covers one exact bracket that a
-  // repeating hot key re-enters for just the verify walk.  Row 0 is
-  // recorded only when `earned` — the caller already hit some retained
-  // state (cursor row, chunk way, low finger row), i.e. the target shows
-  // repetition.  This is the finger's frequency cascade (DESIGN.md §3.6)
-  // applied to chunks: a cold one-shot read must not evict a hot row-0
-  // bracket, or on skewed streams the cold tail churns the ways faster
-  // than the hot set repeats.
+  // later read will consult (row 0 and the cursor's chunk id).
   const auto finish = [&](Node_t* start,
                           const typename LeafChunkManager<Traits>::HintResult&
-                              hr,
-                          bool earned) {
+                              hr) {
     Bracket b = list_search(x, start, 0);
     // Unconditional: on a still-cold cursor these stores are dead (warm_
-    // stays false and nothing reads the rows), and after path (c)'s seek
+    // stays false and nothing reads the rows), and after path (b)'s seek
     // the cursor is warm with initialized rows that should stay fresh.
     cur.left_[0] = b.left;
     cur.left_ikey_[0] = b.left->ikey();
     cur.right_ikey_[0] = b.right->ikey();
     if (hr.covered) cur.chunk_hint_ = hr.idw;
-    if (finger_on_) {
-      Finger& f = finger();
-      if (hr.covered) f.record_chunk(hr.idw, hr.base, hr.right);
-      if (earned) {
-        f.record_leaf(b.left, b.left->ikey(), b.right->ikey(),
-                      ctx_.ebr->global_epoch());
-      }
-    }
     return b;
   };
 
@@ -347,54 +274,18 @@ auto BasicSkipListEngine<Traits>::chunked_read(Cursor& cur, Ikey x,
     const auto hr = cm.pred_hint(x, cur.chunk_hint_, c);
     if (hr.covered && usable0(hr.node)) {
       c.cursor_reuses++;
-      return finish(hr.node, hr, /*earned=*/true);
+      return finish(hr.node, hr);
     }
   }
 
-  // (b) Finger, cheapest cache first.  A leaf-bracket hit is an exact
-  // level-0 bracket a repeating hot key re-enters for just the verify walk
-  // — no scan.  Failing that, a chunk way covering x is the single-key
-  // warm path; only a way that yields a usable in-chunk predecessor
-  // short-circuits, otherwise fall through to the descent (which knows how
-  // to start from head runs).
-  if (finger_on_) {
-    Finger& f = finger();
-    const uint64_t now = ctx_.ebr->global_epoch();
-    if (Node_t* fstart = f.try_leaf(x, now)) {
-      if (was_warm) c.cursor_redescends++;
-      c.finger_hits++;
-      c.hops_finger_saved += top_;
-      Bracket b = list_search(x, fstart, 0);
-      cur.left_[0] = b.left;
-      cur.left_ikey_[0] = b.left->ikey();
-      cur.right_ikey_[0] = b.right->ikey();
-      f.record_leaf(b.left, b.left->ikey(), b.right->ikey(), now);
-      return b;
-    }
-    const uint32_t fidw = f.try_chunk(x);
-    if (fidw != 0 && cm.covers_hint(fidw, x)) {
-      const auto hr = cm.pred_hint(x, fidw, c);
-      if (hr.covered && usable0(hr.node)) {
-        if (was_warm) c.cursor_redescends++;
-        c.finger_hits++;
-        c.hops_finger_saved += top_;
-        return finish(hr.node, hr, /*earned=*/true);
-      }
-    }
-  }
-
-  // (c) Descend, stopping chunk_entry_ levels above 0, then resolve the
+  // (b) Descend, stopping chunk_entry_ levels above 0, then resolve the
   // stopped bracket through the chunk index (unless the seek entered low
   // enough that the bracket is already tight).  The bracket's left tower
   // names its root's chunk (chunkw); its root is itself a sound level-0
   // start should the chunk scan come back empty.
   uint32_t stopped_at = 0;
-  bool exact_hit = false;
   Bracket b = cur.seek(x, /*cold_min_level=*/0, fallback, env, chunk_entry_,
-                       &stopped_at, exact, &exact_hit);
-  // An exact exit's bracket is final (its far side is the target's level-0
-  // root) — the chunk resolution below would only redo the work.
-  if (exact_hit) return b;
+                       &stopped_at);
   if (stopped_at == 0) return b;  // entered at level 0: already a bracket
   Node_t* lstart = head_[0];
   uint32_t hw = 0;
@@ -421,27 +312,30 @@ auto BasicSkipListEngine<Traits>::chunked_read(Cursor& cur, Ikey x,
   // A stop at level <= 2 means the seek entered from a low retained row
   // and the bracket spans at most ~4 keys — walking them directly is
   // cheaper than a chunk-header walk plus a scan (which only pays for
-  // itself against level-3+ gaps).  The low entry is also repetition
-  // evidence, so the bracket earns a row-0 record.
+  // itself against level-3+ gaps).
   if (stopped_at <= 2 && stopped_at < chunk_entry_) {
-    return finish(lstart, typename LeafChunkManager<Traits>::HintResult{},
-                  /*earned=*/true);
+    return finish(lstart, typename LeafChunkManager<Traits>::HintResult{});
   }
   const auto hr = cm.pred_hint(x, hw, c);
   if (hr.covered && usable0(hr.node) && hr.node->ikey() >= lstart->ikey()) {
     lstart = hr.node;  // the chunk got us closer than the descent did
   }
-  return finish(lstart, hr, /*earned=*/false);
+  return finish(lstart, hr);
 }
 
 template <typename Traits>
 auto BasicSkipListEngine<Traits>::cursor_descend(Cursor& cur, Ikey x,
-                                                 StartFn fallback, void* env,
-                                                 LocateExact exact)
+                                                 StartFn fallback, void* env)
     -> Bracket {
-  if (chunks_ != nullptr) return chunked_read(cur, x, fallback, env, exact);
-  return cur.seek(x, /*cold_min_level=*/0, fallback, env, /*stop_level=*/0,
-                  /*stopped_at=*/nullptr, exact);
+  if (chunks_ != nullptr) return chunked_read(cur, x, fallback, env);
+  return cur.seek(x, /*cold_min_level=*/0, fallback, env);
+}
+
+template <typename Traits>
+auto BasicSkipListEngine<Traits>::locate(Ikey x, StartFn fallback, void* env)
+    -> Bracket {
+  Cursor cur(*this);
+  return cursor_descend(cur, x, fallback, env);
 }
 
 template <typename Traits>
@@ -468,28 +362,6 @@ auto BasicSkipListEngine<Traits>::cursor_erase(Cursor& cur, Ikey x,
   EraseResult r = erase_from(x, cur.hints(), b0);
   cur.note_erase(x);
   return r;
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::fingered_descend(Ikey x, uint32_t min_level,
-                                                   StartFn fallback, void* env,
-                                                   Node_t** hints,
-                                                   LocateExact exact)
-    -> Bracket {
-  Cursor cur(*this);
-  if (chunks_ != nullptr && min_level == 0 && hints == nullptr) {
-    // Pure read: the chunk-terminated path (DESIGN.md §7.2).  Callers that
-    // want per-level hints (or a minimum entry level) need the full
-    // descent — those are the write paths, which maintain the chunks
-    // instead of reading through them.
-    return chunked_read(cur, x, fallback, env, exact);
-  }
-  const Bracket b = cur.seek(x, min_level, fallback, env, /*stop_level=*/0,
-                             /*stopped_at=*/nullptr, exact);
-  if (hints != nullptr) {
-    std::copy(cur.hints(), cur.hints() + top_ + 1, hints);
-  }
-  return b;
 }
 
 template <typename Traits>
@@ -607,7 +479,10 @@ auto BasicSkipListEngine<Traits>::raise_level(Node_t* root, Node_t* nnode,
     if (b.right->ikey() == x) {
       return RaiseStatus::kStoppedUnpublished;  // same key already here
     }
-    nnode->next.store(pack_ptr(b.right), std::memory_order_relaxed);
+    // Release: nnode may be recycled storage that a stale pointer still
+    // reaches (DESIGN.md §3.3), and a reader that loads b.right from here
+    // must also see b.right's construction.
+    nnode->next.store(pack_ptr(b.right), std::memory_order_release);
     // The paper (§2): "Each insertion is conditioned on the stop flag of the
     // root remaining unset" — DCSS on the predecessor link guarded by stopw.
     const DcssResult r = dcss(ctx_, b.left->next, pack_ptr(b.right),
@@ -657,17 +532,6 @@ auto BasicSkipListEngine<Traits>::insert(Ikey x, Node_t* start,
 }
 
 template <typename Traits>
-auto BasicSkipListEngine<Traits>::fingered_insert(Ikey x, uint32_t height,
-                                                  StartFn fallback, void* env)
-    -> InsertResult {
-  // cold_min_level = height: the raise path consumes hints[1..height], so a
-  // finger entry below the drawn tower height would leave the raise
-  // searching whole levels from their heads.
-  Cursor cur(*this);
-  return cursor_insert(cur, x, height, height, fallback, env);
-}
-
-template <typename Traits>
 auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
                                               Node_t** hints, Bracket b)
     -> InsertResult {
@@ -685,7 +549,8 @@ auto BasicSkipListEngine<Traits>::insert_from(Ikey x, uint32_t height,
       return res;
     }
     if (root == nullptr) root = make_node(x, 0, height, nullptr, nullptr);
-    root->next.store(pack_ptr(b.right), std::memory_order_relaxed);
+    // Release for the same reason as in raise_level.
+    root->next.store(pack_ptr(b.right), std::memory_order_release);
     // Linearization point of a successful insert: linking at level 0.
     if (counted_cas(b.left->next, pack_ptr(b.right), pack_ptr(root))) break;
     bo.spin();  // lost to a concurrent writer in this neighborhood
@@ -760,13 +625,6 @@ auto BasicSkipListEngine<Traits>::erase(Ikey x, Node_t* start) -> EraseResult {
 }
 
 template <typename Traits>
-auto BasicSkipListEngine<Traits>::fingered_erase(Ikey x, StartFn fallback,
-                                                 void* env) -> EraseResult {
-  Cursor cur(*this);
-  return cursor_erase(cur, x, fallback, env);
-}
-
-template <typename Traits>
 auto BasicSkipListEngine<Traits>::erase_from(Ikey x, Node_t** hints,
                                              Bracket b0) -> EraseResult {
   EraseResult res;
@@ -837,138 +695,6 @@ auto BasicSkipListEngine<Traits>::erase_from(Ikey x, Node_t** hints,
       fix_prev(b.left, b.right);
       if (!is_marked(dcss_read(b.right->next))) break;
       bo.spin();  // successor is being deleted too; let its owner finish
-    }
-    res.top_left = l;
-  }
-  return res;
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::promote_tower(Ikey x, Node_t* root,
-                                                uint32_t to_height)
-    -> PromoteResult {
-  PromoteResult res;
-  if (to_height > top_) to_height = top_;
-  Node_t* hints[kMaxLevels + 1];
-  const Bracket b0 = descend(x, head_[top_], hints);
-  // The tower must still be THIS root, alive and unclaimed: pointer identity
-  // against the level-0 bracket rules out an erased-and-reinserted key, and
-  // the stop-word / mark checks rule out a delete in progress.  (A delete
-  // starting after these checks is fine — every raise below re-checks the
-  // stop word and is DCSS-guarded on it, exactly like insert's raises.)
-  if (b0.right != root ||
-      root->stopw.load(std::memory_order_seq_cst) != 0 ||
-      is_marked(dcss_read(root->next))) {
-    return res;
-  }
-  // Probe the tower's current height, collecting the topmost live node as
-  // the down-link for the first new level.  Heights are contiguous: insert
-  // raises bottom-up and demote sweeps top-down, so the first absent level
-  // ends the tower.
-  Node_t* below = root;
-  for (uint32_t lvl = 1; lvl <= top_; ++lvl) {
-    Node_t* left = hints[lvl];
-    Node_t* tn = find_tower_node(x, root, lvl, left);
-    hints[lvl] = left;
-    if (tn == nullptr) break;
-    below = tn;
-    res.new_height = lvl;
-  }
-  if (res.new_height >= to_height) return res;
-  for (uint32_t lvl = res.new_height + 1; lvl <= to_height; ++lvl) {
-    Node_t* n = make_node(x, lvl, to_height, below, root);
-    const RaiseStatus st = raise_level(root, n, x, lvl, hints[lvl]);
-    if (st == RaiseStatus::kStoppedPublished) {
-      // CAS-fallback top-level undo: caller trie-sweeps, then retires
-      // (identical to InsertResult::undone_top, DESIGN.md §3.5(5)).
-      res.undone_top = n;
-      return res;
-    }
-    if (st == RaiseStatus::kStoppedUnpublished) {
-      // Same disposal rule as insert_from: an unmarked n was never
-      // published; a marked one was undone inside raise_level (which
-      // already retired it).
-      if (!is_marked(n->next.load(std::memory_order_acquire))) {
-        n->poison();
-        arena_.recycle(n);
-      }
-      return res;
-    }
-    below = n;
-    res.new_height = lvl;
-    res.raised = true;
-  }
-  if (res.new_height == top_) {
-    res.top = below;
-    fix_prev(hints[top_], res.top);
-  }
-  return res;
-}
-
-template <typename Traits>
-auto BasicSkipListEngine<Traits>::demote_tower(Ikey x, Node_t* root,
-                                               uint32_t to_height)
-    -> EraseResult {
-  EraseResult res;
-  if (to_height >= top_) return res;
-  Node_t* hints[kMaxLevels + 1];
-  const Bracket b0 = descend(x, head_[top_], hints);
-  // Unlike erase, demotion must NOT claim the stop word: a concurrent erase
-  // losing its 0->1 claim returns "not present" while the key is still in
-  // the set — a linearizability violation.  Instead bail when a delete
-  // already owns the tower; a delete claiming AFTER this check just races
-  // the sweep below, which the mark-CAS ownership protocol already
-  // arbitrates (each node is retired by exactly one winner, and res.top is
-  // only reported by the top mark's winner).
-  if (b0.right != root || is_marked(dcss_read(root->next)) ||
-      root->stopw.load(std::memory_order_seq_cst) != 0) {
-    return res;
-  }
-  // Top-down sweep of the levels above to_height, repeated until a pass
-  // finds nothing (a still-running original insert's raise may relink a
-  // level mid-sweep; its raise loop is finite, so this terminates).  Level 0
-  // is never marked, preserving "an unmarked upper node implies the key is
-  // present" for the exact-exit validation (DESIGN.md §8.3).
-  for (;;) {
-    bool found_any = false;
-    for (int lvl = static_cast<int>(top_); lvl > static_cast<int>(to_height);
-         --lvl) {
-      Node_t* left = hints[lvl];
-      Node_t* tn = find_tower_node(x, root, static_cast<uint32_t>(lvl), left);
-      hints[lvl] = left;
-      if (tn == nullptr) continue;
-      found_any = true;
-      if (static_cast<uint32_t>(lvl) == top_) {
-        if (!tn->ready()) {
-          fix_prev(left, tn);  // Alg. 2: complete the insertion first
-        }
-        const bool won = mark_node(tn, left);
-        set_prev_mark(tn);
-        list_search(x, left, static_cast<uint32_t>(lvl));  // force unlink
-        if (won) {
-          res.top = tn;  // mark winner owns the trie sweep + retirement
-          res.owned[res.owned_count++] = tn;
-        }
-      } else {
-        const bool won = mark_node(tn, left);
-        list_search(x, left, static_cast<uint32_t>(lvl));
-        if (won) res.owned[res.owned_count++] = tn;
-      }
-    }
-    if (!found_any) break;
-  }
-  res.erased = res.owned_count > 0;
-  if (res.top != nullptr) {
-    // Successor prev repair, exactly as erase_from does after removing a
-    // top node (Alg. 2 lines 4-7).
-    Node_t* l = hints[top_];
-    Backoff bo;
-    for (int i = 0; i < kFixPrevRetries; ++i) {
-      Bracket b = list_search(x, l, top_);
-      l = b.left;
-      fix_prev(b.left, b.right);
-      if (!is_marked(dcss_read(b.right->next))) break;
-      bo.spin();
     }
     res.top_left = l;
   }

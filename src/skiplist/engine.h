@@ -32,7 +32,6 @@
 #include "common/key_traits.h"
 #include "dcss/dcss.h"
 #include "reclaim/arena.h"
-#include "skiplist/finger.h"
 #include "skiplist/leaf.h"
 #include "skiplist/node.h"
 
@@ -41,29 +40,11 @@ namespace skiptrie {
 template <typename Traits>
 class BasicDescentCursor;
 
-// Read-descent exact-match early exit (DESIGN.md §8.3).  With adaptive
-// tower heights a hot key's tower reaches an upper level, so a read descent
-// can observe its exact target ikey far above level 0; terminating there —
-// after validating the tower's *root* is unmarked, which is the operation's
-// linearization-relevant observation — is what converts a promotion into
-// saved descent hops.  kNone is the seed behavior (descend to level 0
-// unconditionally); the SkipTrie passes kNone whenever adaptation is off,
-// so the off configuration reproduces seed step counts exactly.
-enum class LocateExact : uint8_t {
-  kNone = 0,  // no early exit (seed behavior)
-  kRight,     // exit when an upper right neighbor has ikey == x
-              // (contains / successor / range scans: callers read .right)
-  kLeft,      // exit when an upper left neighbor has ikey == x - 1
-              // (predecessor / strict_predecessor: callers read .left —
-              //  no lower level can produce a larger left ikey)
-};
-
 template <typename Traits>
 class BasicSkipListEngine {
  public:
   using Ikey = typename Traits::ikey_type;
   using Node_t = NodeT<Ikey>;
-  using Finger = BasicSearchFinger<Traits>;
   using Cursor = BasicDescentCursor<Traits>;
 
   static constexpr uint32_t kMaxLevels = 40;  // supports the log-m baseline
@@ -116,8 +97,8 @@ class BasicSkipListEngine {
 
   // Descend from `start` (any level; validated) to level 0, returning the
   // level-0 bracket.  If hints != nullptr it receives the per-level left
-  // nodes (size must be >= top_level()+1).  Finger-free (tests, internal
-  // restarts); public operations route through the fingered entry points.
+  // nodes (size must be >= top_level()+1).  Never chunk-terminated: this is
+  // the full per-level descent the write paths consume.
   Bracket descend(Ikey x, Node_t* start, Node_t** hints = nullptr);
 
   // Insert ikey with tower height `height` (0..top_level), starting the
@@ -128,98 +109,47 @@ class BasicSkipListEngine {
   // stop word, then removes the tower top-down (paper Alg. 2 / §2).
   EraseResult erase(Ikey x, Node_t* start);
 
-  // --- Cursor entry points (DESIGN.md §3.6–§3.7) --------------------------
-  // The one descent seam every public SkipTrie and baseline operation goes
-  // through, built on BasicDescentCursor (skiplist/cursor.h): a resumable
-  // per-level bracket position.  A warm cursor whose retained bracket still
-  // contains x enters the descent at the lowest such level; otherwise the
-  // calling thread's finger is consulted: a hit at level
-  // l >= min_level starts the descent there, skipping levels l+1..top *and*
-  // the fallback entirely (for the SkipTrie that fallback is the x-fast
-  // trie's pred_start — hash probes and the top-level walk).  On a miss,
-  // `fallback(env, x)` lazily supplies the start node (nullptr fallback
-  // means the top-level head), and the descent that follows seeds the
-  // finger with every bracket it traverses.
+  // --- Cursor entry points (DESIGN.md §3.6) -------------------------------
+  // The descent seam the batch API and every single-key read go through,
+  // built on BasicDescentCursor (skiplist/cursor.h): a resumable per-level
+  // bracket position.  A warm cursor whose retained bracket still contains
+  // x enters the descent at the lowest such level; a cold cursor (or a
+  // failed reuse) calls `fallback(env, x)` for the start node (nullptr
+  // fallback means the top-level head) — for the SkipTrie that fallback is
+  // the x-fast trie's pred_start.
   //
-  // min_level bounds how low a finger hit may enter on the cold path: reads
-  // pass 0, single-key insert passes its drawn tower height (the raise path
-  // needs descent-fresh hints at every level it touches), erase and the
-  // batched write streams pass top_level() (the tower sweep consumes hints
-  // at every level, and a batch must keep every retained row a real bracket
-  // rather than a bare level head — see cursor.h).
+  // cold_min_level bounds how low a warm entry may go before some descent
+  // has entered at the top: the batched write streams pass top_level() (the
+  // raise and tower-sweep phases consume hints at every level, and a batch
+  // must keep every retained row a real bracket rather than a bare level
+  // head — see cursor.h).
   using StartFn = Node_t* (*)(void* env, Ikey x);
 
-  Bracket cursor_descend(Cursor& cur, Ikey x, StartFn fallback, void* env,
-                         LocateExact exact = LocateExact::kNone);
+  Bracket cursor_descend(Cursor& cur, Ikey x, StartFn fallback, void* env);
   InsertResult cursor_insert(Cursor& cur, Ikey x, uint32_t height,
                              uint32_t cold_min_level, StartFn fallback,
                              void* env);
   EraseResult cursor_erase(Cursor& cur, Ikey x, StartFn fallback, void* env);
 
-  // Single-key entry points: the batch_size = 1 degenerate case — each call
-  // runs one cold cursor through the seam above.
-  Bracket fingered_descend(Ikey x, uint32_t min_level, StartFn fallback,
-                           void* env, Node_t** hints = nullptr,
-                           LocateExact exact = LocateExact::kNone);
-  InsertResult fingered_insert(Ikey x, uint32_t height, StartFn fallback,
-                               void* env);
-  EraseResult fingered_erase(Ikey x, StartFn fallback, void* env);
+  // Single-key read: one cold cursor through cursor_descend, so a read
+  // takes the chunk-terminated path whenever chunking is on.
+  Bracket locate(Ikey x, StartFn fallback, void* env);
 
-  // The calling thread's finger for this engine (distinct per thread).
-  Finger& finger() const { return tls_finger<Traits>(finger_owner_, top_); }
-  // The calling thread's persistent cursor for this engine (same owner-id
-  // keying; defined in engine.cpp).  Used by the batch API so consecutive
-  // batches resume where the last one left off.
+  // The calling thread's persistent cursor for this engine (keyed by the
+  // engine's never-reused owner id; DESIGN.md §4.2).  Used by the batch API
+  // so consecutive batches resume where the last one left off.
   Cursor& cursor();
-  // Ablation/diagnostic switch: when off, the fingered entry points behave
-  // exactly like their unfingered counterparts (no lookups, no recording,
-  // no finger counters).  Not thread-safe against concurrent operations.
-  void set_finger_enabled(bool on) { finger_on_ = on; }
-  bool finger_enabled() const { return finger_on_; }
 
   // Leaf chunking (DESIGN.md §7): read descents stop log2(K) levels above
   // level 0 and finish through a chunk scan + validating list_search; writers
   // maintain the chunk index post-linearization.  Off (the seed layout)
-  // reproduces per-level step counts exactly.  Like set_finger_enabled, not
-  // thread-safe against concurrent operations — configure before sharing.
+  // reproduces per-level step counts exactly.  Not thread-safe against
+  // concurrent operations — configure before sharing.
   void enable_leaf_chunking(bool on);
   bool leaf_chunking_enabled() const { return chunks_ != nullptr; }
   // The chunk manager, nullptr when chunking is off (structure_stats,
   // validation, tests).
   LeafChunkManager<Traits>* leaf_chunks() const { return chunks_.get(); }
-
-  // --- Adaptive tower heights: structural side (DESIGN.md §8) -------------
-  // Raising and lowering an existing tower.  The *policy* (when to do it)
-  // lives above the engine (skiplist/adaptive.h + core/skiptrie.cpp); these
-  // two methods are pure structure and ride the existing protocols: a
-  // promotion is exactly an insert-time raise replayed post-linearization
-  // (DCSS-guarded on the root's stop word, §3.4), a demotion is the
-  // delete-time top-down mark sweep restricted to the levels above
-  // `to_height` — crucially *without* claiming the stop word, so a
-  // concurrent erase still wins its 0->1 claim and linearizes correctly.
-  struct PromoteResult {
-    Node_t* top = nullptr;  // reached the top level: the caller must run the
-                            // x-fast prefix insertion (coverage invariant)
-    // CAS-fallback only: a top node linked then undone because a delete
-    // claimed the tower; caller trie-sweeps then retires (as InsertResult).
-    Node_t* undone_top = nullptr;
-    uint32_t new_height = 0;  // tower height after the call (probed)
-    bool raised = false;      // at least one level was added
-  };
-  // Raise root's tower (level-0 node of ikey x) to `to_height`.  No-op —
-  // with new_height reporting the probed height — when the tower is already
-  // tall enough, the root is no longer current (erased / re-inserted), its
-  // stop word is claimed, or a concurrent delete stops the raise midway.
-  PromoteResult promote_tower(Ikey x, Node_t* root, uint32_t to_height);
-
-  // Remove root's tower nodes above `to_height` (>= 1 stays; level 0 is
-  // never touched, preserving "upper node unmarked => key present").
-  // Returns the EraseResult shape: `erased` means at least one node was
-  // marked by this call, and — unlike erase, which owns the tower via the
-  // stop word — `top` is set ONLY when this call won the top node's mark
-  // CAS, so exactly one of a racing demote/erase pair runs the trie sweep
-  // and retires it.  Caller sweeps prefixes for `top`, then retire_owned().
-  EraseResult demote_tower(Ikey x, Node_t* root, uint32_t to_height);
 
   // Algorithm 1.  Installs node.prev via DCSS guarded on the predecessor
   // remaining unmarked and adjacent; sets node.ready on exit.
@@ -264,27 +194,19 @@ class BasicSkipListEngine {
   // Validate `cur` as a descent start; falls back to the top-level head
   // (counting a restart).  Returns the level the descent begins at.
   uint32_t resolve_start(Ikey x, Node_t*& cur);
-  // Core descent loop from (cur, lvl): fills hints[l] for every traversed
-  // level (callers pre-fill untraversed levels), records every traversed
-  // bracket into the finger (when f != nullptr, stamped with `epoch`) and
-  // into the cursor's rows (when rec != nullptr; hints is then rec's own
-  // left array).  `exact` != kNone enables the adaptive early exit
-  // (DESIGN.md §8.3); *exact_hit (when non-null) reports that the returned
-  // bracket came from such an exit (its far side is then the tower's
-  // level-0 root, not a node at the exit level).
+  // Core descent loop from (cur, lvl) down to level `floor`: fills hints[l]
+  // for every traversed level (callers pre-fill untraversed levels) and
+  // records every traversed bracket into the cursor's rows (when
+  // rec != nullptr; hints is then rec's own left array).
   Bracket descend_from(Ikey x, Node_t* cur, uint32_t lvl, Node_t** hints,
-                       Finger* f, uint64_t epoch, Cursor* rec = nullptr,
-                       uint32_t floor = 0,
-                       LocateExact exact = LocateExact::kNone,
-                       bool* exact_hit = nullptr);
+                       Cursor* rec = nullptr, uint32_t floor = 0);
   // Chunk-terminated read descent (DESIGN.md §7.2): the body behind
-  // cursor_descend/fingered_descend when chunking is on.  Resolves a level-0
-  // start hint through (in order) the cursor's retained chunk id, the
-  // finger's chunk rows, or a descent stopped at chunk_entry_, then finishes
-  // with a validating list_search from the hinted node.
-  Bracket chunked_read(Cursor& cur, Ikey x, StartFn fallback, void* env,
-                       LocateExact exact = LocateExact::kNone);
-  // Post-descent bodies shared by the plain and fingered entry points.
+  // cursor_descend when chunking is on.  Resolves a level-0 start hint
+  // through the cursor's retained state or a descent stopped at
+  // chunk_entry_, then finishes with a validating list_search from the
+  // hinted node.
+  Bracket chunked_read(Cursor& cur, Ikey x, StartFn fallback, void* env);
+  // Post-descent bodies shared by the plain and cursor entry points.
   InsertResult insert_from(Ikey x, uint32_t height, Node_t** hints,
                            Bracket b);
   EraseResult erase_from(Ikey x, Node_t** hints, Bracket b0);
@@ -307,8 +229,7 @@ class BasicSkipListEngine {
   // Level a chunk-terminated read may stop descending at: one chunk indexes
   // ~K keys, the span of ~log2(K) skiplist levels.
   uint32_t chunk_entry_ = 0;
-  const uint64_t finger_owner_ = new_finger_owner();
-  bool finger_on_ = true;
+  const uint64_t owner_;  // registry key for tls_cursor (DESIGN.md §4.2)
   Node_t* head_[kMaxLevels + 1];
   Node_t* tail_;
 };

@@ -150,9 +150,8 @@ auto LeafChunkManager<Traits>::pred_hint(Ikey x, uint32_t hintw,
   const uint64_t nw = ch->next.load(std::memory_order_acquire);
   Chunk* nx = unpack_ptr<Chunk>(nw);
   r.idw = ch->id + 1;
-  r.base = ch->base.load();
-  r.right = nx != nullptr ? nx->base.load() : Traits::ikey_max();
-  r.covered = !is_marked(nw) && !(r.base > x) && x < r.right;
+  const Ikey right = nx != nullptr ? nx->base.load() : Traits::ikey_max();
+  r.covered = !is_marked(nw) && !(ch->base.load() > x) && x < right;
   if (!r.covered) return r;  // walk bound or a racing merge; caller falls back
   c.chunk_scans++;
   // Boehm atomic-seqlock read: acquire version, relaxed data, acquire

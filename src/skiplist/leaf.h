@@ -8,8 +8,8 @@
 // level-0 node list, writers maintain chunks strictly after linearizing, and
 // every answer a chunk produces is re-validated by a level-0 `list_search`
 // from the hinted node.  A stale, torn, lagging or recycled chunk therefore
-// costs steps, never answers — the same contract as the finger and cursor
-// (DESIGN.md §3.6–§3.7), which is what makes the chunking-on/off ablation
+// costs steps, never answers — the same contract as the descent cursor
+// (DESIGN.md §3.6), which is what makes the chunking-on/off ablation
 // equivalence hold by construction.
 //
 // Layout (one header line, then the key lines, then the node-pointer lines):
@@ -126,13 +126,9 @@ class LeafChunkManager {
   // find() could not reach a chunk covering x (walk bound, mid-walk merge);
   // `node` may be null even when covered (no indexed key < x in the chunk,
   // or seqlock contention) — callers fall back to their own level-0 start.
-  // base/right are the racily-read coverage bounds [base, right), for
-  // finger retention.
   struct HintResult {
     Node_t* node = nullptr;
     uint32_t idw = 0;
-    Ikey base = Ikey(0);
-    Ikey right = Ikey(0);
     bool covered = false;
   };
 

@@ -40,7 +40,7 @@
 // sizeof == one cache line.  Wider ikeys (u128) store as two relaxed
 // uint64_t halves in AtomicIkey: a torn read yields an ikey that was never
 // stored, which is the same hazard class as reading a recycled node's
-// re-keyed ikey (§3.6) — ikeys read through guide pointers are hints,
+// re-keyed ikey (§3.3) — ikeys read through guide pointers are hints,
 // validated by kind/level/mark identity checks before any structural use —
 // so no double-wide atomic (and no libatomic lock) is needed.
 #pragma once
@@ -115,22 +115,6 @@ struct alignas(kCacheLine) NodeT {
   }
   uint32_t orig_height() const {
     return (meta.load(std::memory_order_relaxed) >> 8) & 0xffu;
-  }
-  // Rewrite the height byte (bits 8..15) in place.  On level-0 roots the
-  // byte starts as the deterministic draw and the adaptive-heights policy
-  // (DESIGN.md §8) maintains it as the tower's *current* height hint — a
-  // screen only, promote/demote re-probe the real tower under the adapt
-  // latch.  CAS loop (not a store) so a racing set_ready fetch_or on the
-  // same word is never clobbered.
-  void set_height_hint(uint32_t h) {
-    uint32_t m = meta.load(std::memory_order_relaxed);
-    for (;;) {
-      const uint32_t nm = (m & ~0xff00u) | ((h & 0xffu) << 8);
-      if (m == nm ||
-          meta.compare_exchange_weak(m, nm, std::memory_order_relaxed)) {
-        break;
-      }
-    }
   }
   NodeKind kind() const {
     return static_cast<NodeKind>(

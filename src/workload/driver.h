@@ -62,7 +62,7 @@ struct WorkloadConfig {
   // Sample the wall-clock latency of every Nth operation per thread
   // (steady_clock around the call).  0 disables sampling.
   uint32_t latency_sample_every = 64;
-  // Keys per dispatch window of the batch API (DESIGN.md §3.7).  1 = the
+  // Keys per dispatch window of the batch API (DESIGN.md §3.6).  1 = the
   // classic per-key loop.  > 1 draws (op type, key) per key exactly as the
   // per-key loop would — so every key receives the same operation at every
   // batch size — then partitions the window by op type and issues one
@@ -76,15 +76,14 @@ struct WorkloadConfig {
   // record each sub-batch's wall time divided by its key count (amortized
   // per-key latency).
   uint32_t batch_size = 1;
-  // Hot-set drift (schema v8, DESIGN.md §8.1).  When true and dist is
+  // Hot-set drift (schema v8).  When true and dist is
   // kZipf, every worker re-salts its generator's rank→key permutation at
   // the 25/50/75% checkpoints of its own op stream, rotating which keys
   // are hot three times per run.  All workers share the per-phase salt
   // (derived from `seed` and the phase index), so they agree on the hot
   // set within a phase; the prefill pass runs at phase 0, matching the
-  // first quarter.  Exercises the adaptive-height policy's demotion side:
-  // keys promoted in one phase go cold in the next.  No effect on other
-  // distributions or when false (the salt stays 0 = the historical map).
+  // first quarter.  No effect on other distributions or when false (the
+  // salt stays 0 = the historical map).
   bool zipf_drift = false;
 };
 
@@ -130,19 +129,16 @@ struct LeafCheckpoints {
   }
 };
 
-// Structural checkpoint digest (schema v8, DESIGN.md §8.4).  Same sampling
-// seam as LeafCheckpoints: worker 0 reads StructureLiveStats — four relaxed
-// atomic loads — at 25/50/75% of its own stream, plus one final sample at
-// quiescence.  min/max top-level population over every sample chart how the
-// adaptive policy reshapes the structure mid-run; the final
-// promotion/demotion totals are the policy's cumulative activity.  `samples`
-// is 0 when the set type exposes no structure stats; adaptation-off runs
-// sample but report zero promotions/demotions.
+// Structural checkpoint digest (schema v8).  Same sampling seam as
+// LeafCheckpoints: worker 0 reads StructureLiveStats — relaxed atomic loads
+// — at 25/50/75% of its own stream, plus one final sample at quiescence.
+// min/max top-level population over every sample chart how churn reshapes
+// the structure mid-run.  `samples` is 0 when the set type exposes no
+// structure stats.
 struct StructureCheckpoints {
   uint32_t samples = 0;
   uint64_t min_top = 0, max_top = 0, final_top = 0;
   uint64_t final_keys = 0;
-  uint64_t final_promotions = 0, final_demotions = 0;
 
   void fold(const StructureLiveStats& s, bool is_final) {
     if (samples == 0 || s.top_count < min_top) min_top = s.top_count;
@@ -150,8 +146,6 @@ struct StructureCheckpoints {
     if (is_final) {
       final_top = s.top_count;
       final_keys = s.keys;
-      final_promotions = s.promotions;
-      final_demotions = s.demotions;
     }
     ++samples;
   }
@@ -202,7 +196,7 @@ namespace detail {
 double percentile_ns(std::vector<uint64_t> samples, double q);
 }  // namespace detail
 
-// Detects the batch API of DESIGN.md §3.7 (SkipTrie and the lock-free
+// Detects the batch API of DESIGN.md §3.6 (SkipTrie and the lock-free
 // skiplist baseline implement it; the locked map does not and runs batched
 // configs through the per-key loop).
 template <typename Set>

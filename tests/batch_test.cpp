@@ -1,4 +1,4 @@
-// Batched bulk-operation tests (DESIGN.md §3.7).
+// Batched bulk-operation tests (DESIGN.md §3.6).
 //
 // Covers sequential equivalence against the single-key operations (sorted,
 // unsorted and duplicate-bearing inputs, results reported in input order),
@@ -7,7 +7,9 @@
 // — the regression PR 5 pinned — a concurrent erase retiring a node
 // the batch cursor is parked on: the reuse screen must reject it and fall
 // back without ever reading reclaimed-and-unmapped memory (run under
-// -DSKIPTRIE_SANITIZE=address|thread).
+// -DSKIPTRIE_SANITIZE=address|thread).  Also pins the per-thread cursor
+// registry contract (DESIGN.md §4.2): one stable cursor per live engine,
+// swept when the engine is destroyed.
 //
 // The sequential suites are TYPED_TESTs over {U64Traits, Bytes16Traits}
 // (DESIGN.md §6): under the sanitizer builds that is what certifies the
@@ -18,6 +20,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <optional>
 #include <thread>
 #include <vector>
@@ -26,6 +29,7 @@
 #include "common/key_traits.h"
 #include "common/stats.h"
 #include "core/skiptrie.h"
+#include "skiplist/cursor.h"
 
 namespace skiptrie {
 namespace {
@@ -168,8 +172,7 @@ TYPED_TEST(TypedBatchTest, EmptyBatchIsANoOp) {
 TYPED_TEST(TypedBatchTest, CursorReuseAttributionSums) {
   using Fix = TypedBatchTest<TypeParam>;
   using K = typename Fix::K;
-  // A fresh thread pins the accounting: tls cursors and fingers are
-  // thread-local, so the first seek of the first batch is deterministically
+  // A fresh thread pins the accounting: tls cursors are thread-local, so the first seek of the first batch is deterministically
   // cold (counts neither reuse nor redescend).
   std::thread probe([] {
     typename Fix::Trie t(Fix::cfg());
@@ -369,6 +372,65 @@ TEST(BatchInvalidationTest, ConcurrentEraseRetiresCursorNodes) {
   std::vector<uint8_t> has(batch.size());
   EXPECT_EQ(t.contains_batch(batch, has.data()), kHot);
   for (size_t i = 0; i < batch.size(); ++i) EXPECT_TRUE(has[i]) << i;
+}
+
+// --- Cursor registry (DESIGN.md §4.2) ---------------------------------------
+//
+// An earlier registry held a fixed 4 slots per thread and recycled them
+// round-robin, rebinding the DescentCursor objects in place.  One thread
+// touching more than 4 engines — the steady state of a sharded split
+// batch — silently retargeted references an outer frame still held
+// (aliasing).  These tests pin the replacement contract: one stable object
+// per live owner, distinct across owners, swept only when the owner's
+// engine is destroyed.
+
+TEST(RegistryAliasingTest, CursorsStayDistinctAndStableAcrossManyOwners) {
+  SlabArena arena(sizeof(Node), kCacheLine, 1024);
+  EbrDomain ebr;
+  DcssContext ctx{&ebr, DcssMode::kDcss};
+  constexpr int kEngines = 8;  // more than the old registry could hold
+  std::vector<std::unique_ptr<SkipListEngine>> engines;
+  for (int i = 0; i < kEngines; ++i) {
+    engines.push_back(std::make_unique<SkipListEngine>(ctx, arena, 3));
+  }
+  std::thread probe([&] {
+    DescentCursor* cursors[kEngines];
+    for (int i = 0; i < kEngines; ++i) cursors[i] = &engines[i]->cursor();
+    for (int i = 0; i < kEngines; ++i) {
+      for (int j = i + 1; j < kEngines; ++j) {
+        EXPECT_NE(cursors[i], cursors[j]) << i << "," << j;
+      }
+    }
+    // A split batch visits shards round-robin; every revisit must find the
+    // shard's own cursor (stream state intact), not a recycled slot.
+    for (int round = 0; round < 3; ++round) {
+      for (int i = kEngines - 1; i >= 0; --i) {
+        EXPECT_EQ(&engines[i]->cursor(), cursors[i]) << i;
+      }
+    }
+  });
+  probe.join();
+}
+
+TEST(RegistryAliasingTest, DeadOwnersAreSweptFromTheCursorRegistry) {
+  std::thread probe([] {
+    const size_t c0 = tls_cursor_registry_size();
+    {
+      SlabArena arena(sizeof(Node), kCacheLine, 2048);
+      EbrDomain ebr;
+      DcssContext ctx{&ebr, DcssMode::kDcss};
+      std::vector<std::unique_ptr<SkipListEngine>> engines;
+      for (int i = 0; i < 6; ++i) {
+        engines.push_back(std::make_unique<SkipListEngine>(ctx, arena, 3));
+        engines.back()->cursor();
+      }
+      EXPECT_EQ(tls_cursor_registry_size(), c0 + 6);
+    }
+    // Engine destructors journaled the owners; the next lookup (which the
+    // size hook shares) must have dropped every slot.
+    EXPECT_EQ(tls_cursor_registry_size(), c0);
+  });
+  probe.join();
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <latch>
+#include <stdexcept>
 #include <thread>
 #include <vector>
 
@@ -145,6 +147,44 @@ TEST(Ebr, GuardAllowsConcurrentReadersProgress) {
   }
   for (auto& th : ts) th.join();
   EXPECT_EQ(total.load(), 8u * 5000u);
+}
+
+// Slot exhaustion must fail loudly in Release builds too: the thread past
+// kMaxThreads gets std::length_error, and the domain keeps working for the
+// threads that already hold slots.
+TEST(Ebr, SlotExhaustionThrowsAndDomainStaysUsable) {
+  constexpr uint32_t kThreads = EbrDomain::kMaxThreads;
+  std::atomic<int> live{0};
+  EbrDomain dom;
+  std::latch registered(kThreads);
+  std::latch overflow_checked(1);
+  std::latch retired(kThreads);
+  std::vector<std::thread> ts;
+  ts.reserve(kThreads);
+  for (uint32_t i = 0; i < kThreads; ++i) {
+    ts.emplace_back([&] {
+      { EbrDomain::Guard g(dom); }  // registers; the slot stays held
+      registered.count_down();
+      overflow_checked.wait();
+      {
+        EbrDomain::Guard g(dom);
+        dom.retire_delete(new Tracked(live));
+      }
+      retired.count_down();
+    });
+  }
+  registered.wait();
+  EXPECT_THROW({ EbrDomain::Guard g(dom); }, std::length_error);
+  overflow_checked.count_down();
+  retired.wait();
+  for (auto& t : ts) t.join();
+  // Every slot was released on thread exit: this thread now registers.
+  {
+    EbrDomain::Guard g(dom);
+    dom.retire_delete(new Tracked(live));
+  }
+  dom.drain();
+  EXPECT_EQ(live.load(), 0);
 }
 
 }  // namespace

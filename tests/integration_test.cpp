@@ -8,7 +8,6 @@
 #include "baseline/locked_map.h"
 #include "core/skiptrie.h"
 #include "core/validate.h"
-#include "reclaim/hazard.h"
 #include "workload/driver.h"
 
 namespace skiptrie {
@@ -43,10 +42,6 @@ TEST(Integration, WorkloadOnSkipTrieBalancedMix) {
 TEST(Integration, WorkloadReadOnlyMakesNoStructuralWrites) {
   Config c;
   c.universe_bits = 24;
-  // With adaptive heights on, hot reads *do* write (promotion raises run
-  // CAS/DCSS on behalf of queries — DESIGN.md §8.1; adaptive_test covers
-  // that side).  This test pins the classic read-only contract.
-  c.adaptive_heights = false;
   SkipTrie t(c);
   WorkloadConfig cfg = quick_cfg();
   cfg.mix = OpMix::read_only();
@@ -83,9 +78,6 @@ TEST(Integration, WorkloadOnBaselines) {
 TEST(Integration, StepCountersSeparateSearchFromUpdateCost) {
   Config c;
   c.universe_bits = 32;
-  // Adaptive promotion writes on the read path; pin it off so "warmed
-  // read-only makes no updates" stays a meaningful separation.
-  c.adaptive_heights = false;
   SkipTrie t(c);
   WorkloadConfig cfg = quick_cfg();
   cfg.threads = 1;
@@ -139,28 +131,6 @@ TEST(Integration, WorkloadResultSummaryIsHumanReadable) {
   const std::string s = r.summary();
   EXPECT_NE(s.find("Mops/s"), std::string::npos);
   EXPECT_NE(s.find("steps/op"), std::string::npos);
-}
-
-TEST(Integration, HazardDomainInteroperatesWithWorkload) {
-  // The hazard domain is an independent substrate; ensure it coexists with
-  // EBR-based structures in one process (separate thread registries).
-  HazardDomain hp;
-  Config c;
-  c.universe_bits = 16;
-  SkipTrie t(c);
-  std::atomic<int> live{0};
-  struct Obj {
-    std::atomic<int>& c;
-    explicit Obj(std::atomic<int>& c) : c(c) { c.fetch_add(1); }
-    ~Obj() { c.fetch_sub(1); }
-  };
-  for (int i = 0; i < 100; ++i) {
-    t.insert(i);
-    hp.retire_delete(new Obj(live));
-  }
-  hp.scan();
-  EXPECT_EQ(live.load(), 0);
-  EXPECT_EQ(t.size(), 100u);
 }
 
 }  // namespace

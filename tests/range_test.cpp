@@ -204,7 +204,9 @@ TEST(Range, LargeUniverseRange) {
 // base, one key before and one past — and after a draining erase pattern
 // that forces merges, the same windows must stay exact.
 TEST(Range, ChunkBoundaryScans) {
-  SkipTrie t(cfg16());
+  Config c = cfg16();
+  c.leaf_chunking = true;  // about chunk seams: on even where the default is off
+  SkipTrie t(c);
   ASSERT_NE(t.engine().leaf_chunks(), nullptr);
   constexpr uint64_t kKeys = 600;  // dozens of chunks at K = 16
   for (uint64_t k = 0; k < kKeys; ++k) ASSERT_TRUE(t.insert(k));

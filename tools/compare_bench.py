@@ -2,11 +2,11 @@
 """Diff two BENCH_suite.json files on step counts and probe counters.
 
 Joins the "cells" arrays on (section, structure, universe_bits, threads,
-mix, dist, batch_size, shards, key_kind, leaf_chunking, adaptive_heights,
-zipf_drift, repeat) — the stable key documented in README "Benchmarks";
-batch_size and shards default to 1, key_kind to "u64", leaf_chunking to
-true, and adaptive_heights / zipf_drift to false for files that predate
-them — and reports, per matched cell, the relative change in:
+mix, dist, batch_size, shards, key_kind, leaf_chunking, zipf_drift,
+repeat) — the stable key documented in README "Benchmarks"; batch_size
+and shards default to 1, key_kind to "u64", leaf_chunking to true, and
+zipf_drift to false for files that predate them — and reports, per
+matched cell, the relative change in:
 
   - steps_per_op.search and steps_per_op.total
   - per-op rates of the probe counters (hash_probes, probes_lookup,
@@ -26,14 +26,16 @@ Designed to run as a non-fatal CI report step:
 
     tools/compare_bench.py BENCH_suite.json build/BENCH_suite_quick.json
 
-Schema: accepts v1 through v8 files; counters missing from an older file
+Schema: accepts v1 through v9 files; counters missing from an older file
 are skipped (reported as "new"), never treated as zero.  Pre-v7 cells
 join v7 cells as leaf_chunking=true (the default layout); chunking-off
 cells are a v7-only axis and never match an older file.  Pre-v8 cells
-join v8 cells as adaptive_heights=false / zipf_drift=false (the policy
-and the drift mode did not exist, so off is behavior-accurate);
-adaptive-on cells are new measurement points and never match an older
-file.
+join as zipf_drift=false.  v9 dropped the v8 adaptation axis: v8 cells
+join on the remaining axes — every v8 section except toplevel_ablation
+ran one adaptation setting per cell (the shipped default), so the join
+compares the old default build with the new one — and the v8-only
+toplevel_ablation section, whose on/off twins differ only in the dropped
+axis, is skipped on load.
 
 `--self-test` runs the built-in join unit test (no input files needed);
 it is registered in ctest so the cross-version join cannot bit-rot.
@@ -45,33 +47,28 @@ import sys
 
 JOIN_KEY = ("section", "structure", "universe_bits", "threads", "mix",
             "dist", "batch_size", "shards", "key_kind", "leaf_chunking",
-            "adaptive_heights", "zipf_drift", "repeat")
+            "zipf_drift", "repeat")
 
 # Per-key defaults applied when a file predates an axis, so older suites
 # still join cleanly (batch_size was introduced in schema v4, shards in v5,
-# key_kind in v6, leaf_chunking in v7, adaptive_heights and zipf_drift in
-# v8; every earlier cell was implicitly unbatched, unsharded and u64-keyed,
-# and ran whatever the default engine layout of its era was — which the v7
-# suite records as its leaf_chunking=true cells, so that is the side pre-v7
-# cells join.  adaptive_heights defaults FALSE, not the shipped v8 default:
-# pre-v8 binaries had no height policy at all, and off reproduces that
-# layout bit for bit, so false is the behavior-accurate fill.)
+# key_kind in v6, leaf_chunking in v7, zipf_drift in v8; every earlier cell
+# was implicitly unbatched, unsharded, u64-keyed and drift-free, and ran
+# whatever the default engine layout of its era was — which the v7 suite
+# records as its leaf_chunking=true cells, so that is the side pre-v7
+# cells join.)
 JOIN_DEFAULTS = {"batch_size": 1, "shards": 1, "key_kind": "u64",
-                 "leaf_chunking": True, "adaptive_heights": False,
-                 "zipf_drift": False}
+                 "leaf_chunking": True, "zipf_drift": False}
 
-# Note: the finger counters (finger_hits/misses, hops_finger_saved) are
-# intentionally absent — a hit-rate shift is not by itself a regression;
-# its cost shows up in node_hops / hops_top / hops_descent, which are.
+# Sections that exist only in v8 files.  Their cells come in pairs that
+# differ only in the adaptation axis v9 dropped, so they cannot join on the
+# v9 key (and v9 has no such section to join them to).
+V8_ONLY_SECTIONS = ("toplevel_ablation",)
+
 # Of the schema-v4 cursor counters, cursor_redescends is compared (within a
 # joined cell the batching axis is fixed, so more redescends on the same
 # stream means retained brackets stopped serving — a silent constant
 # regression); cursor_reuses is its complement and "more is better", which
 # this worse-when-higher comparator cannot express, so it stays report-only.
-# The schema-v8 policy counters (adapt_checks, promotions, demotions) are
-# likewise excluded from rate gating: they tally policy activity, which
-# scales with workload skew, not with code quality — more promotions on a
-# hotter stream is the policy working, not a regression.
 RATE_COUNTERS = ("hash_probes", "probes_lookup", "probes_chain",
                  "probes_binsearch", "node_hops", "hops_top",
                  "hops_descent", "walk_fallbacks", "restarts",
@@ -90,6 +87,8 @@ LEAF_RATE_COUNTERS = ("bytes_touched", "chunk_scans")
 def cells_of(doc):
     cells = {}
     for cell in doc.get("cells", []):
+        if cell.get("section") in V8_ONLY_SECTIONS:
+            continue
         key = tuple(cell.get(k, JOIN_DEFAULTS.get(k)) for k in JOIN_KEY)
         cells[key] = cell
     return cells
@@ -195,43 +194,65 @@ def self_test():
     assert "steps.bytes_touched/op" not in mt, \
         "leaf counters must be gated off multi-thread cells"
 
-    # v7 -> v8: the adaptive_heights / zipf_drift axes.  A v7 cell (neither
-    # key present) joins exactly the v8 cell with adaptive_heights == False
-    # and zipf_drift == False; the adaptive-on twin and the drift twin must
-    # stay unmatched, and the v8 policy counters must never enter the gated
-    # metric set.
+    # v7 -> v8: the zipf_drift axis.  A v7 cell (no zipf_drift key) joins
+    # exactly the v8 cell with zipf_drift == False; the drift twin must
+    # stay unmatched.
     v7b = {"schema_version": 7, "cells": [
         cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True),
     ]}
     v8 = {"schema_version": 8, "cells": [
         cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             adaptive_heights=False, zipf_drift=False),
-        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
-             adaptive_heights=True, zipf_drift=False,
+             adaptive_heights=True, zipf_drift=False, use_finger=True,
              steps={"node_hops": 250, "hash_probes": 200,
-                    "adapt_checks": 12, "promotions": 3, "demotions": 1}),
+                    "finger_hits": 40, "finger_misses": 60,
+                    "hops_finger_saved": 90, "adapt_checks": 12,
+                    "promotions": 3, "demotions": 1}),
         cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
              adaptive_heights=True, zipf_drift=True),
+        # The v8-only ablation: on/off twins differing only in the
+        # adaptation axis.
+        cell(section="toplevel_ablation", batch_size=1, shards=1,
+             key_kind="u64", leaf_chunking=False, adaptive_heights=True,
+             zipf_drift=False, use_finger=False),
+        cell(section="toplevel_ablation", batch_size=1, shards=1,
+             key_kind="u64", leaf_chunking=False, adaptive_heights=False,
+             zipf_drift=False, use_finger=False),
     ]}
     cand8 = cells_of(v8)
     shared8 = set(cells_of(v7b)) & set(cand8)
-    ai = JOIN_KEY.index("adaptive_heights")
     di = JOIN_KEY.index("zipf_drift")
-    assert len(shared8) == 1, \
-        "a pre-v8 cell must join exactly one v8 cell, got %d" % len(shared8)
-    k8 = next(iter(shared8))
-    assert k8[ai] is False and k8[di] is False, \
-        "a pre-v8 cell must join the adaptive_heights=False/zipf_drift=False" \
-        " v8 cell"
-    m8 = metrics_of(next(c for c in v8["cells"] if c.get("adaptive_heights")
-                         and not c.get("zipf_drift")))
-    assert not any("promotions" in n or "demotions" in n or
-                   "adapt_checks" in n for n in m8), \
-        "policy counters must be excluded from rate gating"
-    print("compare_bench --self-test: ok (join v4->v5->v6->v7->v8, "
-          "shards/key_kind/leaf_chunking/adaptive_heights defaults, "
+    assert len(shared8) == 1 and next(iter(shared8))[di] is False, \
+        "a pre-v8 cell must join exactly the zipf_drift=False v8 cell"
+
+    # v8 -> v9: the adaptation axis and the finger flag are gone.  The v8
+    # grid cell joins the v9 grid cell on the remaining axes; the v8-only
+    # toplevel_ablation twins are skipped on load rather than colliding on
+    # one key; and no finger or policy counter is ever a compared metric.
+    v9 = {"schema_version": 9, "cells": [
+        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
+             zipf_drift=False,
+             steps={"node_hops": 400, "hash_probes": 300}),
+        cell(batch_size=1, shards=1, key_kind="u64", leaf_chunking=True,
+             zipf_drift=True),
+    ]}
+    cand9 = cells_of(v9)
+    assert len(cand8) == 2, \
+        "v8 toplevel_ablation cells must be skipped, got %d cells" % \
+        len(cand8)
+    shared9 = set(cand8) & set(cand9)
+    assert len(shared9) == 2, \
+        "both v8 grid cells must join their v9 twins, got %d" % len(shared9)
+    k9 = next(k for k in shared9 if k[di] is False)
+    m8, m9 = metrics_of(cand8[k9]), metrics_of(cand9[k9])
+    assert abs(m8["steps.node_hops/op"] - 2.5) < 1e-9
+    assert abs(m9["steps.node_hops/op"] - 4.0) < 1e-9
+    assert not any(w in n for n in m8 for w in
+                   ("finger", "promotions", "demotions", "adapt_checks")), \
+        "finger and policy counters must never be compared"
+    print("compare_bench --self-test: ok (join v4->v5->v6->v7->v8->v9, "
+          "shards/key_kind/leaf_chunking/zipf_drift defaults, "
           "--max-shards/--key-kind filters, single-thread leaf-counter "
-          "gate, policy-counter exclusion)")
+          "gate, v8-only section skip)")
     return 0
 
 

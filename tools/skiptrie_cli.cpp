@@ -6,7 +6,7 @@
 //                [--mode dcss|cas] [--seed S] [--batch N] [--validate]
 //
 // --batch N > 1 routes every operation through the batched API (DESIGN.md
-// §3.7): each drawn op type issues N keys through one DescentCursor.
+// §3.6): each drawn op type issues N keys through one DescentCursor.
 //
 // Prints the workload summary (throughput + the paper's step counters) and,
 // with --validate, runs the structural invariant checker afterwards.
